@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: profile, simulate, splitter, sweep, threshold, check.
-A JSON config file (``--config``) may supply any option; explicit flags
-override file values.  Exit codes: 0 success, 2 argument/config error,
-3 numerical failure.
+A JSON config file (``--config``) may supply any option; its entries are
+parsed as flags placed before the command line, so they get the same checks
+and explicit flags override them.  Exit codes: 0 success, 2 argument/config
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .coupler import simulate
 from .propagation import StiffnessError
 from .schedules import DiscontinuityError, ModelParams, diagnostics, effective_schedule
-from .serialize import format_float, sweep_payload, write_csv, write_json, write_sweep_csv
+from .serialize import sweep_payload, write_csv, write_json, write_sweep_csv
 from .splitter import MODES, SplitterParams, simulate_splitter
 from .sweep import (
     AxisSpec,
@@ -50,20 +51,18 @@ def _axis(text: str) -> AxisSpec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _add_model_args(sp: argparse.ArgumentParser, *, with_sta: bool = True) -> None:
+def _add_model_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--omega0", type=float, help="maximum coupling, 1/mm")
     sp.add_argument("--delta0", type=float, help="phase mismatch magnitude, 1/mm")
     sp.add_argument("--total-length", type=float, dest="total_length",
                     help="device length 2L, mm")
-    if with_sta:
-        sp.add_argument("--sta", action=argparse.BooleanOptionalAction,
-                        help="use the counterdiabatic effective schedules")
+    sp.add_argument("--sta", action=argparse.BooleanOptionalAction, default=False,
+                    help="use the counterdiabatic effective schedules")
 
 
-def _add_io_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--output", help="output path ('-' for stdout)")
-    sp.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    sp.add_argument("--config", help="JSON config file; flags override it")
+def _add_output_args(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--output", default="-", help="output path ('-' for stdout)")
+    sp.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,98 +74,89 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="emit the coupling/mismatch schedules")
     _add_model_args(p)
-    p.add_argument("--samples", type=int, help="number of z samples")
-    _add_io_args(p)
+    p.add_argument("--samples", type=int, default=1000, help="number of z samples")
+    _add_output_args(p)
 
     p = sub.add_parser("simulate", help="two-guide intensity trajectory")
     _add_model_args(p)
-    p.add_argument("--input-guide", type=int, dest="input_guide", choices=(1, 2))
-    p.add_argument("--tol", type=float)
-    _add_io_args(p)
+    p.add_argument("--input-guide", type=int, dest="input_guide", choices=(1, 2),
+                   default=1)
+    p.add_argument("--tol", type=float, default=1e-10)
+    _add_output_args(p)
 
     p = sub.add_parser("splitter", help="three-guide beam-splitter trajectory")
     _add_model_args(p)
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--tol", type=float)
-    _add_io_args(p)
+    p.add_argument("--mode", choices=MODES, default="reduced_cd")
+    p.add_argument("--tol", type=float, default=1e-10)
+    _add_output_args(p)
 
     p = sub.add_parser("sweep", help="2-D parameter sweep of a transfer metric")
     _add_model_args(p)
     p.add_argument("--axis-x", type=_axis, dest="axis_x", help="name:lo:hi:count")
     p.add_argument("--axis-y", type=_axis, dest="axis_y", help="name:lo:hi:count")
-    p.add_argument("--metric", choices=("final_i2", "splitting_infidelity"))
-    p.add_argument("--mode", choices=MODES, help="splitter mode for splitting_infidelity")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--workers", type=int)
-    _add_io_args(p)
+    p.add_argument("--metric", choices=("final_i2", "splitting_infidelity"),
+                   default="final_i2")
+    p.add_argument("--mode", choices=MODES, default="reduced_cd",
+                   help="splitter mode for splitting_infidelity")
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--workers", type=int, default=1)
+    _add_output_args(p)
 
     p = sub.add_parser("threshold", help="minimal device length for a target efficiency")
     _add_model_args(p)
-    p.add_argument("--target", type=float)
-    p.add_argument("--length-min", type=float, dest="length_min")
-    p.add_argument("--length-max", type=float, dest="length_max")
-    p.add_argument("--tol", type=float)
-    _add_io_args(p)
+    p.add_argument("--target", type=float, default=0.99)
+    p.add_argument("--length-min", type=float, dest="length_min", default=0.0)
+    p.add_argument("--length-max", type=float, dest="length_max", default=2.0)
+    p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("check", help="adiabaticity and coupling-bound diagnostics")
+    p = sub.add_parser("check", help="adiabaticity and coupling-bound diagnostics (JSON)")
     _add_model_args(p)
-    p.add_argument("--samples", type=int)
-    _add_io_args(p)
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--output", default="-", help="output path ('-' for stdout)")
 
+    for p in sub.choices.values():
+        p.add_argument("--config", help="JSON config file; flags override it")
     return parser
 
 
-_DEFAULTS = {
-    "samples": 1000,
-    "tol": None,  # per-command default applied below
-    "fmt": "csv",
-    "output": "-",
-    "input_guide": 1,
-    "mode": "reduced_cd",
-    "metric": "final_i2",
-    "workers": 1,
-    "sta": False,
-    "target": 0.99,
-    "length_min": 0.0,
-    "length_max": 2.0,
-}
+_AXIS_KEYS = ("name", "lo", "hi", "count")
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the config file, then from hard defaults."""
-    config: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot parse config {args.config}: {exc}") from exc
-        if not isinstance(doc, dict) or len(doc) != 1:
-            raise ConfigError("config must contain exactly one top-level command object")
-        (command, config), = doc.items()
-        if command != args.command:
-            raise ConfigError(
-                f"config is for command {command!r}, invoked {args.command!r}"
-            )
-        if not isinstance(config, dict):
-            raise ConfigError("command object must be a JSON object")
-        known = set(vars(args)) - {"command", "config"}
-        unknown = set(config) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+def _config_argv(args: argparse.Namespace) -> list[str]:
+    """The entries of the ``--config`` file as flag tokens, so that they are
+    parsed, type-checked and overridden exactly like flags."""
+    try:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot parse config {args.config}: {exc}") from exc
+    if not isinstance(doc, dict) or len(doc) != 1:
+        raise ConfigError("config must contain exactly one top-level command object")
+    (command, config), = doc.items()
+    if command != args.command:
+        raise ConfigError(
+            f"config is for command {command!r}, invoked {args.command!r}"
+        )
+    if not isinstance(config, dict):
+        raise ConfigError("command object must be a JSON object")
+    known = set(vars(args)) - {"command", "config"}
+    unknown = set(config) - known
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
-    for key, value in vars(args).items():
-        if value is None and key in config:
-            raw = config[key]
-            if key in ("axis_x", "axis_y"):
-                raw = _axis(raw) if isinstance(raw, str) else AxisSpec(**raw)
-            setattr(args, key, raw)
-    for key, value in vars(args).items():
-        if value is None and key in _DEFAULTS:
-            setattr(args, key, _DEFAULTS[key])
-    if getattr(args, "tol", None) is None:
-        args.tol = 1e-8 if args.command == "sweep" else 1e-10
-    return args
+    tokens = []
+    for key, value in config.items():
+        flag = "--" + ("format" if key == "fmt" else key.replace("_", "-"))
+        if isinstance(value, bool) and isinstance(getattr(args, key), bool):
+            tokens.append(flag if value else "--no-" + flag[2:])
+            continue
+        if isinstance(value, dict):
+            if set(value) != set(_AXIS_KEYS):
+                raise ConfigError(f"config {key!r} object needs exactly the keys "
+                                  + ", ".join(_AXIS_KEYS))
+            value = ":".join(str(value[k]) for k in _AXIS_KEYS)
+        tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -179,28 +169,16 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 def _model(args: argparse.Namespace) -> ModelParams:
     _require(args, "omega0", "delta0", "total_length")
     return ModelParams(omega0=args.omega0, delta0=args.delta0,
-                       half_length=args.total_length / 2.0, sta=bool(args.sta))
+                       half_length=args.total_length / 2.0, sta=args.sta)
 
 
-def _emit_rows(args, header, rows, inputs) -> None:
+def _emit_rows(args, header, rows) -> None:
     if args.fmt == "csv":
-        if args.output == "-":
-            import csv as _csv
-            writer = _csv.writer(sys.stdout)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([format_float(v) for v in row])
-        else:
-            write_csv(args.output, header, rows)
+        write_csv(args.output, header, rows)
     else:
         payload = {"columns": list(header),
                    "rows": [[float(v) for v in row] for row in rows]}
-        if args.output == "-":
-            payload["provenance"] = {"inputs": inputs}
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        else:
-            write_json(args.output, payload, inputs)
+        write_json(args.output, payload, _inputs(args))
 
 
 def _inputs(args: argparse.Namespace) -> dict:
@@ -224,8 +202,7 @@ def _cmd_profile(args) -> int:
     for z in zs:
         sp = effective_schedule(p, float(z), side=-1 if z == 0.0 else 0)
         rows.append((sp.z, sp.omega, sp.delta, sp.omega_a, sp.omega_eff, sp.delta_eff))
-    _emit_rows(args, ("z", "omega", "delta", "omega_a", "omega_eff", "delta_eff"),
-               rows, _inputs(args))
+    _emit_rows(args, ("z", "omega", "delta", "omega_a", "omega_eff", "delta_eff"), rows)
     return EXIT_OK
 
 
@@ -234,7 +211,7 @@ def _cmd_simulate(args) -> int:
     result = simulate(p, input_guide=args.input_guide, tol=args.tol)
     traj = result.trajectory
     rows = [(z, i[0], i[1]) for z, i in zip(traj.z, traj.intensities)]
-    _emit_rows(args, ("z", "I1", "I2"), rows, _inputs(args))
+    _emit_rows(args, ("z", "I1", "I2"), rows)
     return EXIT_OK
 
 
@@ -243,7 +220,7 @@ def _cmd_splitter(args) -> int:
     result = simulate_splitter(SplitterParams(p, args.mode), tol=args.tol)
     traj = result.trajectory
     rows = [(z, i[0], i[1], i[2]) for z, i in zip(traj.z, traj.intensities)]
-    _emit_rows(args, ("z", "I1", "I2", "I3"), rows, _inputs(args))
+    _emit_rows(args, ("z", "I1", "I2", "I3"), rows)
     return EXIT_OK
 
 
@@ -257,29 +234,23 @@ def _cmd_sweep(args) -> int:
             if value is None:
                 raise ConfigError(f"--{name.replace('_', '-')} must fix the unswept parameter")
             fixed[name] = value
+    if args.fmt == "csv" and args.output == "-":
+        raise ConfigError("sweep CSV output requires --output PATH")
     spec = SweepSpec(axis_x=args.axis_x, axis_y=args.axis_y, fixed=fixed,
-                     metric=args.metric, sta=bool(args.sta), tol=args.tol,
+                     metric=args.metric, sta=args.sta, tol=args.tol,
                      splitter_mode=args.mode)
     result = run_sweep(spec, workers=args.workers)
     if args.fmt == "csv":
-        if args.output == "-":
-            raise ConfigError("sweep CSV output requires --output PATH")
         write_sweep_csv(args.output, result)
     else:
-        payload = sweep_payload(result)
-        payload["provenance_sweep"] = result.provenance
-        if args.output == "-":
-            payload["provenance"] = {"inputs": _inputs(args)}
-            json.dump(payload, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-        else:
-            write_json(args.output, payload, _inputs(args))
+        payload = sweep_payload(result) | {"provenance_sweep": result.provenance}
+        write_json(args.output, payload, _inputs(args))
     return EXIT_OK
 
 
 def _cmd_threshold(args) -> int:
     _require(args, "omega0", "delta0")
-    result = threshold_length(args.omega0, args.delta0, bool(args.sta),
+    result = threshold_length(args.omega0, args.delta0, args.sta,
                               args.target, (args.length_min, args.length_max),
                               tol=args.tol)
     print(f"{result.total_length:.4g} mm (metric {result.achieved_metric:.6f})")
@@ -287,20 +258,13 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    p = _model(args)
-    if args.samples < 2:
-        raise ConfigError("--samples must be >= 2")
-    d = diagnostics(p, args.samples)
+    d = diagnostics(_model(args), args.samples)
     payload = {
         "max_adiabaticity_ratio": d.max_adiabaticity_ratio,
         "max_cd_ratio": d.max_cd_ratio,
         "bound_satisfied": d.bound_satisfied,
     }
-    if args.output == "-":
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        write_json(args.output, payload, _inputs(args))
+    write_json(args.output, payload, _inputs(args))
     return EXIT_OK
 
 
@@ -315,10 +279,13 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        if args.config:
+            # argv[0] is the command; config tokens go first so flags win
+            args = parser.parse_args([argv[0], *_config_argv(args), *argv[1:]])
         return _COMMANDS[args.command](args)
     except (ConfigError, DiscontinuityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

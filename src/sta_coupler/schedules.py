@@ -70,6 +70,9 @@ class ModelParams:
     sta: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("omega0", "delta0", "half_length"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.omega0 >= 0.0):
             raise ValueError(f"omega0 must be >= 0, got {self.omega0}")
         if not (self.delta0 >= 0.0):
@@ -82,8 +85,7 @@ class ModelParams:
         return 2.0 * self.half_length
 
 
-@dataclass(frozen=True)
-class SchedulePoint:
+class SchedulePoint(NamedTuple):
     """Schedule values and derived STA quantities at one position."""
 
     z: float
@@ -141,21 +143,8 @@ def _resolve_side(z: float, side: int) -> int:
     )
 
 
-class _Point(NamedTuple):
-    omega: float
-    omega_dot: float
-    delta: float
-    omega_a: float
-    omega_a_dot: float
-    phi: float
-    phi_dot: float
-    omega_eff: float
-    delta_eff: float
-    theta: float
-
-
 def _closed_form(omega0: float, delta_left: float, half_length: float,
-                 z: float, side: int = 0) -> _Point:
+                 z: float, side: int = 0) -> SchedulePoint:
     """Evaluate all schedule quantities for a signed-mismatch model.
 
     The mismatch is ``delta_left`` for z < 0 and ``-delta_left`` for z > 0
@@ -178,7 +167,7 @@ def _closed_form(omega0: float, delta_left: float, half_length: float,
     if omega0 == 0.0 or delta_left == 0.0:
         # theta is constant on each half: the counterdiabatic correction
         # vanishes identically and the STA schedules reduce to the raw ones.
-        return _Point(omega, omega_dot, delta, 0.0, 0.0, 0.0, 0.0, omega, delta, theta)
+        return SchedulePoint(z, omega, delta, 0.0, 0.0, theta, omega, delta)
 
     denom = omega * omega + delta * delta
     omega_a = omega_dot * delta / (2.0 * denom)
@@ -191,8 +180,7 @@ def _closed_form(omega0: float, delta_left: float, half_length: float,
     )
     omega_eff = math.hypot(omega, omega_a)
     delta_eff = delta - phi_dot / 2.0
-    return _Point(omega, omega_dot, delta, omega_a, omega_a_dot, phi, phi_dot,
-                  omega_eff, delta_eff, theta)
+    return SchedulePoint(z, omega, delta, omega_a, phi, theta, omega_eff, delta_eff)
 
 
 def _check_position(p: ModelParams, z: float) -> None:
@@ -227,17 +215,7 @@ def cd_coupling(p: ModelParams, z: float, side: int = 0) -> float:
 def effective_schedule(p: ModelParams, z: float, side: int = 0) -> SchedulePoint:
     """Full schedule point including the STA effective quantities."""
     _check_position(p, z)
-    cf = _closed_form(p.omega0, p.delta0, p.half_length, z, side)
-    return SchedulePoint(
-        z=z,
-        omega=cf.omega,
-        delta=cf.delta,
-        omega_a=cf.omega_a,
-        phi=cf.phi,
-        theta=cf.theta,
-        omega_eff=cf.omega_eff,
-        delta_eff=cf.delta_eff,
-    )
+    return _closed_form(p.omega0, p.delta0, p.half_length, z, side)
 
 
 def diagnostics(p: ModelParams, samples: int) -> Diagnostics:
@@ -250,7 +228,7 @@ def diagnostics(p: ModelParams, samples: int) -> Diagnostics:
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     grid = np.linspace(-p.half_length, p.half_length, samples)
-    points: list[_Point] = []
+    points: list[SchedulePoint] = []
     for z in grid:
         if z == 0.0:
             points.append(_closed_form(p.omega0, p.delta0, p.half_length, 0.0, -1))

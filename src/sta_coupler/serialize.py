@@ -1,11 +1,15 @@
-"""CSV / JSON output with round-trip-exact floats and provenance."""
+"""CSV / JSON output with round-trip-exact floats and provenance.
+
+Every writer takes a path, or ``"-"`` for standard output."""
 
 from __future__ import annotations
 
 import csv
 import json
+import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -20,9 +24,18 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+@contextmanager
+def _open_output(path: str | Path, **kwargs) -> Iterator[TextIO]:
+    if path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", **kwargs) as fh:
+            yield fh
+
+
 def write_csv(path: str | Path, header: Sequence[str],
               rows: Iterable[Sequence[float]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -36,7 +49,7 @@ def _provenance(inputs: dict) -> dict:
 def write_json(path: str | Path, payload: dict, inputs: dict) -> None:
     doc = dict(payload)
     doc["provenance"] = _provenance(inputs)
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -59,8 +72,4 @@ def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
     x_name = result.provenance.get("axis_x", {}).get("name", "x")
     y_name = result.provenance.get("axis_y", {}).get("name", "y")
     header = [f"{y_name}\\{x_name}"] + [format_float(x) for x in result.x_values]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for y, row in zip(result.y_values, result.grid):
-            writer.writerow([format_float(y)] + [format_float(v) for v in row])
+    write_csv(path, header, ([y, *row] for y, row in zip(result.y_values, result.grid)))

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,6 +49,9 @@ class AxisSpec:
     def __post_init__(self) -> None:
         if self.name not in PARAMETERS:
             raise ValueError(f"axis name must be one of {PARAMETERS}, got {self.name!r}")
+        for bound in ("lo", "hi"):
+            if not math.isfinite(getattr(self, bound)):
+                raise ValueError(f"axis {bound} must be finite, got {getattr(self, bound)}")
         if self.count < 2:
             raise ValueError(f"axis count must be >= 2, got {self.count}")
         if not self.lo < self.hi:
@@ -80,15 +84,7 @@ class SweepSpec:
             raise ValueError(f"fixed must provide exactly {sorted(remaining)}")
 
     def provenance(self) -> dict:
-        return {
-            "axis_x": vars(self.axis_x) | {},
-            "axis_y": vars(self.axis_y) | {},
-            "fixed": dict(self.fixed),
-            "metric": self.metric,
-            "sta": self.sta,
-            "tol": self.tol,
-            "splitter_mode": self.splitter_mode,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -117,11 +113,6 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
                              tol=tol).splitting_infidelity
 
 
-def evaluate_cell(spec: SweepSpec, **params: float) -> float:
-    return metric_value(spec.metric, spec.sta, tol=spec.tol,
-                        splitter_mode=spec.splitter_mode, **params)
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the metric over the rectangular grid.
 
@@ -138,7 +129,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         params = dict(spec.fixed)
         params[spec.axis_x.name] = float(xs[j])
         params[spec.axis_y.name] = float(ys[i])
-        grid[i, j] = evaluate_cell(spec, **params)
+        grid[i, j] = metric_value(spec.metric, spec.sta, tol=spec.tol,
+                                  splitter_mode=spec.splitter_mode, **params)
 
     indices = [(i, j) for i in range(len(ys)) for j in range(len(xs))]
     if workers > 1:
@@ -163,27 +155,31 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
                      tol: float = 1e-8, coarse_points: int = 100) -> ThresholdResult:
     """Smallest total device length reaching the target transfer efficiency.
 
-    A coarse scan locates the first crossing (final_i2 need not be
+    A coarse scan stops at the first crossing (final_i2 need not be
     monotone in length); bisection then refines it to 0.01 mm.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     lo_range, hi_range = length_range
-    if not 0.0 <= lo_range < hi_range:
+    if not 0.0 <= lo_range < hi_range < math.inf:
         raise ValueError(f"invalid search range {length_range}")
 
     def metric(length: float) -> float:
         return metric_value("final_i2", sta, omega0, delta0, length, tol=tol)
 
     lengths = np.linspace(lo_range, hi_range, coarse_points)
-    values = [metric(float(x)) for x in lengths]
-    hit = next((k for k, v in enumerate(values) if v >= target), None)
-    if hit is None:
-        raise TargetNotReached(target, max(values))
+    missed = []
+    for length in lengths:
+        achieved = metric(float(length))
+        if achieved >= target:
+            break
+        missed.append(achieved)
+    else:
+        raise TargetNotReached(target, max(missed))
 
+    hit = len(missed)
     lo = lo_range if hit == 0 else float(lengths[hit - 1])
     hi = float(lengths[hit])
-    achieved = values[hit]
     while hi - lo > 0.01:
         mid = 0.5 * (lo + hi)
         v = metric(mid)

@@ -142,7 +142,7 @@ class TestCheck:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert set(doc) == {"max_adiabaticity_ratio", "max_cd_ratio",
-                            "bound_satisfied"}
+                            "bound_satisfied", "provenance"}
         assert doc["max_cd_ratio"] == pytest.approx(2.5054, abs=2e-3)
         assert doc["bound_satisfied"] is False
 
@@ -151,6 +151,51 @@ class TestCheck:
                            "--total-length", "25")
         assert code == EXIT_OK
         assert json.loads(out)["bound_satisfied"] is True
+
+    def test_bad_samples(self, capsys):
+        code, _, err = run(capsys, "check", *MODEL, "--samples", "1")
+        assert code == EXIT_USAGE
+        assert "samples" in err
+
+
+class TestRemovedOptions:
+    # threshold prints one line and check always writes JSON
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--omega0", "5", "--delta0", "1", "--output", "t.csv"],
+        ["threshold", "--omega0", "5", "--delta0", "1", "--format", "json"],
+        ["check", *MODEL, "--format", "csv"],
+    ])
+    def test_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--omega0", "inf", "omega0"),
+        ("--delta0", "nan", "delta0"),
+        ("--total-length", "inf", "half_length"),
+    ])
+    def test_model_params(self, flag, value, field, capsys):
+        argv = ["simulate", *MODEL, flag, value]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert f"{field} must be finite" in err
+
+    def test_axis_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--axis-x", "omega0:0:inf:3",
+                  "--axis-y", "total_length:5:25:2", "--delta0", "0.1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "hi must be finite" in capsys.readouterr().err
+
+    def test_search_range(self, capsys):
+        code, _, err = run(capsys, "threshold", "--omega0", "5", "--delta0", "1",
+                           "--length-max", "inf")
+        assert code == EXIT_USAGE
+        assert "search range" in err
 
 
 class TestConfig:
@@ -199,6 +244,56 @@ class TestConfig:
         code, out, _ = run(capsys, "sweep", "--config", str(cfg))
         assert code == EXIT_OK
         assert json.loads(out)["axes"]["y"]["name"] == "total_length"
+
+    def test_config_axis_objects(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {
+            "axis_x": {"name": "omega0", "lo": 0.5, "hi": 2, "count": 2},
+            "axis_y": {"name": "total_length", "lo": 5, "hi": 25, "count": 2},
+            "delta0": 0.1, "sta": True, "tol": 1e-6, "fmt": "json"}}))
+        code, out, _ = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["axes"]["x"] == {"name": "omega0", "values": [0.5, 2.0]}
+        assert doc["axes"]["y"] == {"name": "total_length", "values": [5.0, 25.0]}
+
+    def test_config_axis_object_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {
+            "axis_x": {"name": "omega0", "lo": 0.5, "hi": 2}}}))
+        code, _, err = run(capsys, "sweep", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert "axis_x" in err
+
+    @pytest.mark.parametrize("key,value,flag", [
+        ("omega0", "abc", "--omega0"),
+        ("omega0", True, "--omega0"),
+        ("samples", 2.5, "--samples"),
+        ("sta", "yes", "--sta"),
+        ("fmt", "xml", "--format"),
+    ])
+    def test_config_values_checked_like_flags(self, key, value, flag, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {
+            "omega0": 1.5, "delta0": 0.1, "total_length": 25.0} | {key: value}}))
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--config", str(cfg)])
+        assert exc.value.code == EXIT_USAGE
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_flags_override_every_option_type(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": {
+            "omega0": 1.5, "delta0": 0.1, "total_length": 25.0, "sta": True,
+            "samples": 5, "fmt": "csv"}}))
+        code, out, _ = run(capsys, "profile", "--config", str(cfg), "--omega0", "2",
+                           "--no-sta", "--samples", "3", "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert len(doc["rows"]) == 3
+        inputs = doc["provenance"]["inputs"]
+        assert (inputs["omega0"], inputs["sta"], inputs["samples"]) == (2.0, False, 3)
+        assert inputs["delta0"] == 0.1
 
 
 class TestFormatFloat:

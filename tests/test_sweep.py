@@ -43,6 +43,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             AxisSpec("omega0", -1.0, 1.0, 5)
 
+    def test_axis_finite(self):
+        with pytest.raises(ValueError, match="hi must be finite"):
+            AxisSpec("omega0", 0.0, float("inf"), 5)
+
     def test_duplicate_axes(self):
         with pytest.raises(ValueError):
             SweepSpec(axis_x=AxisSpec("omega0", 0, 1, 2),
@@ -147,6 +151,27 @@ class TestThreshold:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             threshold_length(1.0, 0.1, True, target=0.9, length_range=(2.0, 1.0))
+        with pytest.raises(ValueError):
+            threshold_length(1.0, 0.1, True, target=0.9,
+                             length_range=(0.0, float("inf")))
+
+    def test_scan_stops_at_first_crossing(self, monkeypatch):
+        import sta_coupler.sweep as sweep
+        lengths = []
+
+        def counting(metric, sta, omega0, delta0, total_length, **kw):
+            lengths.append(total_length)
+            return metric_value(metric, sta, omega0, delta0, total_length, **kw)
+
+        monkeypatch.setattr(sweep, "metric_value", counting)
+        res = threshold_length(5.0, 1.0, sta=True, target=0.9, tol=1e-8)
+        step = 2.0 / 99
+        # the second coarse point (0.0202 mm) crosses 0.9; two bisection
+        # steps then refine [0, 0.0202] to 0.01 mm, and the scan stops there
+        assert lengths[:2] == [0.0, step]
+        assert len(lengths) == 4
+        assert all(0.0 < x < step for x in lengths[2:])
+        assert res.achieved_metric >= 0.9
 
 
 class TestRobustRegion:
