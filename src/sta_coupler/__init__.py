@@ -7,12 +7,11 @@ from .schedules import (  # noqa: F401
     GeometryCalibration,
     ModelParams,
     SchedulePoint,
-    cd_coupling,
     diagnostics,
+    drive,
     effective_schedule,
     geometry_synthesis,
     mixing_angle,
-    raw_schedule,
 )
 from .propagation import (  # noqa: F401
     HamiltonianSpec,

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
-from .schedules import ModelParams, effective_schedule, raw_schedule
+from .schedules import ModelParams, drive, effective_schedule
 
 __all__ = ["CouplerResult", "build_h2", "simulate", "adiabatic_projection"]
 
@@ -20,21 +21,15 @@ class CouplerResult:
     adiabatic_populations: np.ndarray | None = None
 
 
+_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
 def build_h2(p: ModelParams) -> HamiltonianSpec:
-    """2x2 generator [[delta, omega], [omega, -delta]] from the raw or
-    STA-effective schedules, with the sign flip registered at z = 0."""
-
-    if p.sta:
-        def evaluate(z: float, side: int = 0) -> np.ndarray:
-            sp = effective_schedule(p, z, side)
-            return np.array([[sp.delta_eff, sp.omega_eff],
-                             [sp.omega_eff, -sp.delta_eff]], dtype=complex)
-    else:
-        def evaluate(z: float, side: int = 0) -> np.ndarray:
-            omega, delta = raw_schedule(p, z, side)
-            return np.array([[delta, omega], [omega, -delta]], dtype=complex)
-
-    return HamiltonianSpec(dim=2, evaluate=evaluate, discontinuities=(0.0,))
+    """2x2 generator omega*sigma_x + delta*sigma_z from the raw or
+    STA-effective schedules (see :func:`drive`), with the sign flip
+    registered at z = 0."""
+    return HamiltonianSpec((_SIGMA_X, _SIGMA_Z), partial(drive, p), discontinuities=(0.0,))
 
 
 def simulate(p: ModelParams, input_guide: int = 1, tol: float = 1e-10,

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "HamiltonianSpec",
@@ -37,29 +36,43 @@ class StiffnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """Position-dependent Hermitian generator.
+    """Position-dependent Hermitian generator H(z) = sum_k f_k(z) * terms[k].
 
-    evaluate(z, side) must return a (dim, dim) Hermitian matrix of rates
-    in 1/mm; `side` is consulted only when z coincides with one of the
-    listed discontinuities.
+    terms are constant Hermitian (dim, dim) matrices, dim 2 or 3, checked
+    once here; coefficients(z, side) returns the real rates f_k in 1/mm.  A
+    real combination of Hermitian terms is Hermitian, so matrix() checks
+    only that the coefficients are real and one per term.  `side` is
+    consulted only when z coincides with one of the listed discontinuities.
     """
 
-    dim: int
-    evaluate: Callable[[float, int], np.ndarray]
+    terms: tuple[np.ndarray, ...]
+    coefficients: Callable[[float, int], Sequence[float]]
     discontinuities: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {self.dim}")
+        terms = tuple(np.array(t, dtype=complex) for t in self.terms)
+        shapes = [t.shape for t in terms]
+        if not terms or set(shapes) not in ({(2, 2)}, {(3, 3)}):
+            raise ValueError(f"terms must all be (2, 2) or all (3, 3), got {shapes}")
+        for k, t in enumerate(terms):
+            scale = max(np.max(np.abs(t)), 1.0)
+            if np.max(np.abs(t - t.conj().T)) > _HERMITICITY_TOL * scale:
+                raise ValueError(f"term {k} is not Hermitian")
+            t.flags.writeable = False
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_flat", np.stack(terms).reshape(len(terms), -1))
+
+    @property
+    def dim(self) -> int:
+        return self.terms[0].shape[0]
 
     def matrix(self, z: float, side: int = 0) -> np.ndarray:
-        h = np.asarray(self.evaluate(z, side), dtype=complex)
-        if h.shape != (self.dim, self.dim):
-            raise ValueError(f"evaluate returned shape {h.shape}, expected {(self.dim, self.dim)}")
-        scale = max(np.max(np.abs(h)), 1.0)
-        if np.max(np.abs(h - h.conj().T)) > _HERMITICITY_TOL * scale:
-            raise ValueError(f"generator is not Hermitian at z={z}")
-        return h
+        f = self.coefficients(z, side)
+        if len(f) != len(self.terms):
+            raise ValueError(f"coefficients gave {len(f)} values for {len(self.terms)} terms")
+        if any(isinstance(c, complex) for c in f):
+            raise ValueError(f"coefficients must be real, got {f!r} at z={z}")
+        return np.dot(f, self._flat).reshape(self.terms[0].shape)
 
 
 @dataclass(frozen=True)
@@ -119,6 +132,9 @@ def _side_at(h: HamiltonianSpec, z: float, a: float, b: float) -> int:
 def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
                        z_to: float, tol: float = 1e-10) -> Trajectory:
     """Adaptive RK integration of i dc/dz = H(z) c, split at discontinuities."""
+    # scipy.integrate takes about 0.6 s to import and only this backend needs it
+    from scipy.integrate import solve_ivp
+
     if not (1e-12 <= tol <= 1e-4):
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
     c = _check_initial_state(c0, h.dim)

@@ -32,10 +32,9 @@ __all__ = [
     "DiscontinuityError",
     "UndefinedAngleError",
     "CalibrationDomainError",
-    "raw_schedule",
     "mixing_angle",
-    "cd_coupling",
     "effective_schedule",
+    "drive",
     "diagnostics",
     "geometry_synthesis",
 ]
@@ -123,6 +122,9 @@ class GeometryCalibration:
     mismatch_per_width: float
 
     def __post_init__(self) -> None:
+        for name in ("coupling_scale", "coupling_decay", "mismatch_per_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.coupling_scale <= 0 or self.coupling_decay <= 0 or self.mismatch_per_width <= 0:
             raise ValueError("all calibration constants must be positive")
 
@@ -188,13 +190,6 @@ def _check_position(p: ModelParams, z: float) -> None:
         raise ValueError(f"position z={z} outside the device [-L, L], L={p.half_length}")
 
 
-def raw_schedule(p: ModelParams, z: float, side: int = 0) -> tuple[float, float]:
-    """Raw sign-flip schedules (omega, delta) at position z."""
-    _check_position(p, z)
-    cf = _closed_form(p.omega0, p.delta0, p.half_length, z, side)
-    return cf.omega, cf.delta
-
-
 def mixing_angle(omega: float, delta: float) -> float:
     """Mixing angle theta with tan(theta) = omega/delta, theta in (0, pi)
     for omega > 0."""
@@ -203,42 +198,35 @@ def mixing_angle(omega: float, delta: float) -> float:
     return math.atan2(omega, delta)
 
 
-def cd_coupling(p: ModelParams, z: float, side: int = 0) -> float:
-    """Counterdiabatic coupling omega_a = theta_dot / 2 at position z.
-
-    Even in z and non-negative on both halves; vanishes as z -> 0.
-    """
-    _check_position(p, z)
-    return _closed_form(p.omega0, p.delta0, p.half_length, z, side).omega_a
-
-
 def effective_schedule(p: ModelParams, z: float, side: int = 0) -> SchedulePoint:
-    """Full schedule point including the STA effective quantities."""
+    """Full schedule point at position z: the raw schedules (omega, delta),
+    the counterdiabatic coupling omega_a = theta_dot / 2 (even in z,
+    non-negative, vanishing as z -> 0) and the STA effective quantities."""
     _check_position(p, z)
     return _closed_form(p.omega0, p.delta0, p.half_length, z, side)
+
+
+def drive(p: ModelParams, z: float, side: int = 0) -> tuple[float, float]:
+    """Coupling and mismatch of the two-guide generator at position z:
+    (omega_eff, delta_eff) when p.sta, else the raw (omega, delta)."""
+    sp = effective_schedule(p, z, side)
+    return (sp.omega_eff, sp.delta_eff) if p.sta else (sp.omega, sp.delta)
 
 
 def diagnostics(p: ModelParams, samples: int) -> Diagnostics:
     """Grid maxima of |theta_dot/2| / sqrt(omega^2 + delta^2) and
     |omega_a| / |omega| over [-L, L].
 
-    The grid never evaluates the untagged midpoint: an exact z = 0 sample
-    is replaced by one-sided evaluations on both sides.
+    Each grid point is evaluated once.  An exact z = 0 sample is taken
+    from the left (side = -1); omega_a vanishes there on both sides, so the
+    side cannot change either maximum.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    grid = np.linspace(-p.half_length, p.half_length, samples)
-    points: list[SchedulePoint] = []
-    for z in grid:
-        if z == 0.0:
-            points.append(_closed_form(p.omega0, p.delta0, p.half_length, 0.0, -1))
-            points.append(_closed_form(p.omega0, p.delta0, p.half_length, 0.0, +1))
-        else:
-            points.append(_closed_form(p.omega0, p.delta0, p.half_length, float(z)))
-
     max_ad = 0.0
     max_cd = 0.0
-    for pt in points:
+    for z in np.linspace(-p.half_length, p.half_length, samples):
+        pt = _closed_form(p.omega0, p.delta0, p.half_length, float(z), -1)
         gap = math.hypot(pt.omega, pt.delta)
         if gap > 0.0:
             max_ad = max(max_ad, abs(pt.omega_a) / gap)

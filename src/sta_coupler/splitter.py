@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
-from .schedules import ModelParams, _closed_form, effective_schedule
+from .schedules import ModelParams, _closed_form, drive
 
 __all__ = [
     "SplitterParams",
@@ -34,6 +35,12 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 MODES = ("direct", "reduced_cd")
+
+# Constant terms of the generators; W and D from splitter_schedule weight them.
+_OUTER_COUPLINGS = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+_MIDDLE_MISMATCH = np.diag([0.0, 1.0, 0.0])
+_REDUCED_COUPLING = np.array([[0.0, _SQRT2], [_SQRT2, 0.0]])
+_REDUCED_MISMATCH = np.diag([0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -57,12 +64,8 @@ class SplitterResult:
 def splitter_schedule(sp: SplitterParams, z: float, side: int = 0) -> tuple[float, float]:
     """Coupling and middle-guide mismatch (W, D) of the array generator."""
     p = sp.base
-    if not p.sta:
-        cf = _closed_form(p.omega0, p.delta0, p.half_length, z, side)
-        return cf.omega, cf.delta
-    if sp.mode == "direct":
-        eff = effective_schedule(p, z, side)
-        return eff.omega_eff, eff.delta_eff
+    if not p.sta or sp.mode == "direct":
+        return drive(p, z, side)
     # reduced_cd: the traceless form of the bright/middle two-level system
     # has coupling sqrt(2)*omega and mismatch -delta/2; run the CD
     # construction there and map back.
@@ -71,23 +74,16 @@ def splitter_schedule(sp: SplitterParams, z: float, side: int = 0) -> tuple[floa
 
 
 def build_h3(sp: SplitterParams) -> HamiltonianSpec:
-    def evaluate(z: float, side: int = 0) -> np.ndarray:
-        w, d = splitter_schedule(sp, z, side)
-        return np.array([[0.0, w, 0.0],
-                         [w, d, w],
-                         [0.0, w, 0.0]], dtype=complex)
-
-    return HamiltonianSpec(dim=3, evaluate=evaluate, discontinuities=(0.0,))
+    """3x3 generator [[0, W, 0], [W, D, W], [0, W, 0]]."""
+    return HamiltonianSpec((_OUTER_COUPLINGS, _MIDDLE_MISMATCH),
+                           partial(splitter_schedule, sp), discontinuities=(0.0,))
 
 
 def build_reduced_h2(sp: SplitterParams) -> HamiltonianSpec:
-    """Two-level generator of the (bright, middle) subsystem."""
-
-    def evaluate(z: float, side: int = 0) -> np.ndarray:
-        w, d = splitter_schedule(sp, z, side)
-        return np.array([[0.0, _SQRT2 * w], [_SQRT2 * w, d]], dtype=complex)
-
-    return HamiltonianSpec(dim=2, evaluate=evaluate, discontinuities=(0.0,))
+    """Two-level generator [[0, sqrt(2) W], [sqrt(2) W, D]] of the
+    (bright, middle) subsystem."""
+    return HamiltonianSpec((_REDUCED_COUPLING, _REDUCED_MISMATCH),
+                           partial(splitter_schedule, sp), discontinuities=(0.0,))
 
 
 def reduce_bright_dark(c: np.ndarray) -> tuple[complex, complex, complex]:

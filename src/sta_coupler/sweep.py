@@ -120,6 +120,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     thread pool but each result lands in its own grid slot, so the output
     is bit-identical regardless of parallelism or execution order.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     xs = spec.axis_x.values
     ys = spec.axis_y.values
     grid = np.empty((len(ys), len(xs)))

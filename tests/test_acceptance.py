@@ -24,11 +24,9 @@ from sta_coupler.coupler import build_h2, simulate
 from sta_coupler.propagation import propagate_adaptive, propagate_pwc
 from sta_coupler.schedules import (
     ModelParams,
-    cd_coupling,
     diagnostics,
     effective_schedule,
     mixing_angle,
-    raw_schedule,
 )
 from sta_coupler.splitter import SplitterParams, simulate_splitter
 from sta_coupler.sweep import (
@@ -220,17 +218,16 @@ def test_acceptance_7_property_suite(report):
     dz = 1e-6 * REF.half_length
     for _ in range(100):
         z = rng.uniform(0.05, REF.half_length - 2 * dz) * rng.choice([-1, 1])
-        o1, d1 = raw_schedule(REF, z - dz)
-        o2, d2 = raw_schedule(REF, z + dz)
-        oracle = (mixing_angle(o2, d2) - mixing_angle(o1, d1)) / (2 * dz) / 2.0
-        fd_ok &= abs(cd_coupling(REF, z) - oracle) <= 1e-6 * max(abs(oracle), 1e-12)
+        a, b = effective_schedule(REF, z - dz), effective_schedule(REF, z + dz)
+        oracle = (mixing_angle(b.omega, b.delta) - mixing_angle(a.omega, a.delta)) / (2 * dz) / 2.0
+        fd_ok &= abs(effective_schedule(REF, z).omega_a - oracle) <= 1e-6 * max(abs(oracle), 1e-12)
 
     # exact no-op at zero mismatch
     p0 = ModelParams(omega0=1.5, delta0=0.0, half_length=12.5, sta=True)
     noop = all(
         effective_schedule(p0, float(z), side=-1).omega_a == 0.0
         and effective_schedule(p0, float(z), side=-1).omega_eff
-        == raw_schedule(p0, float(z), side=-1)[0]
+        == effective_schedule(p0, float(z), side=-1).omega
         for z in np.linspace(-12.5, 12.5, 101)
     )
 

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sta_coupler
 from sta_coupler.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from sta_coupler.serialize import format_float
 
@@ -114,6 +119,13 @@ class TestSweep:
             main(["sweep", "--axis-x", "omega0:0.5:2"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_must_be_positive(self, workers, tmp_path, capsys):
+        code, _, err = run(capsys, *self.ARGS, "--workers", workers,
+                           "--output", str(tmp_path / "grid.csv"))
+        assert code == EXIT_USAGE
+        assert "workers" in err
+
     def test_missing_fixed_parameter(self, capsys):
         code, _, err = run(capsys, "sweep", "--axis-x", "omega0:0.5:2:2",
                            "--axis-y", "total_length:5:25:2")
@@ -156,6 +168,21 @@ class TestCheck:
         code, _, err = run(capsys, "check", *MODEL, "--samples", "1")
         assert code == EXIT_USAGE
         assert "samples" in err
+
+    def test_does_not_import_scipy(self, tmp_path):
+        # only the adaptive backend needs scipy, so check runs without it
+        script = (
+            "import sys\n"
+            "from sta_coupler.cli import main\n"
+            f"assert main(['check', *{MODEL!r}, '--output', {str(tmp_path / 'c.json')!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        src = str(Path(sta_coupler.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRemovedOptions:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sta_coupler.coupler import adiabatic_projection, build_h2, simulate
-from sta_coupler.schedules import ModelParams
+from sta_coupler.schedules import ModelParams, effective_schedule
 
 FIG3_STA = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=True)
 FIG3_RAW = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=False)
@@ -34,6 +34,14 @@ class TestBuildH2:
         raw = build_h2(FIG3_RAW).matrix(0.0, side=-1)
         sta = build_h2(FIG3_STA).matrix(0.0, side=-1)
         assert sta[0, 1].real == pytest.approx(raw[0, 1].real, abs=1e-12)
+
+
+    @pytest.mark.parametrize("p", [FIG3_STA, FIG3_RAW], ids=["sta", "raw"])
+    @pytest.mark.parametrize("z, side", [(-7.3, 0), (4.1, 0), (0.0, -1), (0.0, +1)])
+    def test_matrix_from_effective_schedule(self, p, z, side):
+        sp = effective_schedule(p, z, side)
+        w, d = (sp.omega_eff, sp.delta_eff) if p.sta else (sp.omega, sp.delta)
+        assert np.array_equal(build_h2(p).matrix(z, side), [[d, w], [w, -d]])
 
 
 class TestSimulate:

@@ -14,24 +14,22 @@ from sta_coupler.propagation import (
 from sta_coupler.schedules import ModelParams
 
 UP = np.array([1.0, 0.0], dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]])
+SIGMA_Z = np.array([[1, 0], [0, -1]])
 
 
 def constant_h2(delta: float, omega: float) -> HamiltonianSpec:
-    def evaluate(z, side=0):
-        return np.array([[delta, omega], [omega, -delta]], dtype=complex)
-
-    return HamiltonianSpec(dim=2, evaluate=evaluate)
+    return HamiltonianSpec((SIGMA_X, SIGMA_Z), lambda z, side: (omega, delta))
 
 
 class TestValidation:
     def test_dim_rejected(self):
         with pytest.raises(ValueError):
-            HamiltonianSpec(dim=4, evaluate=lambda z, s: np.eye(4))
+            HamiltonianSpec((np.eye(4),), lambda z, s: (1.0,))
 
     def test_non_hermitian_rejected(self):
-        h = HamiltonianSpec(dim=2, evaluate=lambda z, s: np.array([[0, 1], [2, 0]]))
         with pytest.raises(ValueError):
-            h.matrix(0.0)
+            HamiltonianSpec((np.array([[0, 1], [2, 0]]),), lambda z, s: (1.0,))
 
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
@@ -47,10 +45,56 @@ class TestValidation:
             propagate_adaptive(constant_h2(0, 1), UP, 1, 0)
 
     def test_unalignable_grid_rejected(self):
-        h = HamiltonianSpec(dim=2, evaluate=lambda z, s: np.eye(2, dtype=complex),
+        h = HamiltonianSpec((np.eye(2),), lambda z, s: (1.0,),
                             discontinuities=(0.3, 0.6))
         with pytest.raises(ValueError, match="not alignable"):
             propagate_pwc(h, UP, 0.0, 1.0, steps=2)
+
+
+class TestSpecContract:
+    """Terms are checked once at construction; each call checks only that
+    the coefficients are real and one per term."""
+
+    @pytest.mark.parametrize("terms", [(SIGMA_X, np.eye(3)), (), (np.ones(2),)],
+                             ids=["mixed", "none", "vector"])
+    def test_malformed_terms_rejected(self, terms):
+        with pytest.raises(ValueError, match="all"):
+            HamiltonianSpec(terms, lambda z, s: (1.0,) * len(terms))
+
+    def test_every_term_checked(self):
+        with pytest.raises(ValueError, match="term 1 is not Hermitian"):
+            HamiltonianSpec((SIGMA_X, np.array([[0, 1j], [1j, 0]])), lambda z, s: (1.0, 1.0))
+
+    def test_complex_hermitian_term_accepted(self):
+        sigma_y = np.array([[0, -1j], [1j, 0]])
+        h = HamiltonianSpec((sigma_y,), lambda z, s: (0.5,))
+        assert np.array_equal(h.matrix(0.0), 0.5 * sigma_y)
+
+    @pytest.mark.parametrize("bad", [0.5 + 0j, np.complex128(0.5)],
+                             ids=["complex", "complex128"])
+    def test_complex_coefficient_rejected(self, bad):
+        h = HamiltonianSpec((SIGMA_X, SIGMA_Z), lambda z, s: (bad, 0.1))
+        with pytest.raises(ValueError, match="real"):
+            h.matrix(0.3)
+
+    def test_coefficient_count_checked(self):
+        h = HamiltonianSpec((SIGMA_X, SIGMA_Z), lambda z, s: (1.0,))
+        with pytest.raises(ValueError, match="1 values for 2 terms"):
+            h.matrix(0.3)
+
+    def test_matrix_is_real_combination(self):
+        h = HamiltonianSpec((SIGMA_X, SIGMA_Z), lambda z, s: (z, 2.0 * s))
+        assert np.array_equal(h.matrix(0.25, side=1), [[2.0, 0.25], [0.25, -2.0]])
+        assert h.matrix(0.25).dtype == complex
+        assert h.dim == 2
+
+    def test_terms_are_frozen(self):
+        term = np.array([[0.0, 1.0], [1.0, 0.0]])
+        h = HamiltonianSpec((term,), lambda z, s: (1.0,))
+        term[0, 1] = 5.0  # the spec holds its own copy
+        assert h.matrix(0.0)[0, 1] == 1.0
+        with pytest.raises(ValueError):
+            h.terms[0][0, 1] = 5.0
 
 
 class TestAnalyticOracles:
@@ -87,11 +131,8 @@ class TestAnalyticOracles:
         # symmetric 3-guide resonant coupling: exact solution via the
         # bright/dark reduction with coupling sqrt(2)*w
         w = 0.7
-
-        def evaluate(z, side=0):
-            return np.array([[0, w, 0], [w, 0, w], [0, w, 0]], dtype=complex)
-
-        h = HamiltonianSpec(dim=3, evaluate=evaluate)
+        h = HamiltonianSpec((np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]),),
+                            lambda z, side: (w,))
         c0 = np.array([0, 1, 0], dtype=complex)
         traj = propagate_adaptive(h, c0, 0.0, 3.0, 1e-12)
         wb = math.sqrt(2) * w
@@ -164,7 +205,7 @@ class TestInvariants:
     def test_breakpoint_refinement_invariance(self):
         # adding a spurious (continuous) breakpoint must not change physics
         base = build_h2(FIG3)
-        refined = HamiltonianSpec(dim=2, evaluate=base.evaluate,
+        refined = HamiltonianSpec(base.terms, base.coefficients,
                                   discontinuities=(0.0, 5.0))
         a = propagate_adaptive(base, UP, -12.5, 12.5, 1e-11).final_state
         b = propagate_adaptive(refined, UP, -12.5, 12.5, 1e-11).final_state

@@ -11,12 +11,10 @@ from sta_coupler.schedules import (
     ModelParams,
     SchedulePoint,
     UndefinedAngleError,
-    cd_coupling,
     diagnostics,
     effective_schedule,
     geometry_synthesis,
     mixing_angle,
-    raw_schedule,
 )
 
 FIG2 = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=True)
@@ -24,32 +22,33 @@ FIG2 = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=True)
 
 class TestRawSchedule:
     def test_fig2_midpoint_left_side(self):
-        omega, delta = raw_schedule(FIG2, 0.0, side=-1)
+        sp = effective_schedule(FIG2, 0.0, side=-1)
+        omega, delta = sp.omega, sp.delta
         assert omega == pytest.approx(1.5, abs=1e-15)
         assert delta == pytest.approx(+0.1, abs=1e-15)
 
     def test_fig2_midpoint_right_side(self):
-        _, delta = raw_schedule(FIG2, 0.0, side=+1)
+        delta = effective_schedule(FIG2, 0.0, side=+1).delta
         assert delta == pytest.approx(-0.1, abs=1e-15)
 
     def test_sech_peak_is_omega0(self):
         # sech(0) = 1
-        omega, _ = raw_schedule(FIG2, 0.0, side=-1)
+        omega = effective_schedule(FIG2, 0.0, side=-1).omega
         assert omega == 1.5
 
     def test_edge_value_independent_sech(self):
         expected = 1.5 / math.cosh(2.0 * math.pi)
         for z in (-12.5, 12.5):
-            omega, _ = raw_schedule(FIG2, z)
+            omega = effective_schedule(FIG2, z).omega
             assert omega == pytest.approx(expected, rel=1e-14)
 
     def test_untagged_midpoint_raises(self):
         with pytest.raises(DiscontinuityError):
-            raw_schedule(FIG2, 0.0)
+            effective_schedule(FIG2, 0.0)
 
     def test_outside_device_raises(self):
         with pytest.raises(ValueError):
-            raw_schedule(FIG2, 13.0)
+            effective_schedule(FIG2, 13.0)
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):
@@ -80,8 +79,10 @@ class TestMixingAngle:
 
 
 def _fd_theta_dot(p: ModelParams, z: float, dz: float) -> float:
-    om1, de1 = raw_schedule(p, z - dz)
-    om2, de2 = raw_schedule(p, z + dz)
+    a = effective_schedule(p, z - dz)
+    b = effective_schedule(p, z + dz)
+    om1, de1 = a.omega, a.delta
+    om2, de2 = b.omega, b.delta
     return (mixing_angle(om2, de2) - mixing_angle(om1, de1)) / (2 * dz)
 
 
@@ -89,12 +90,12 @@ class TestCdCoupling:
     def test_vanishes_at_midpoint(self):
         eps = 1e-8 * FIG2.half_length
         for z in (-eps, eps):
-            assert abs(cd_coupling(FIG2, z)) <= 1e-6 * FIG2.omega0
+            assert abs(effective_schedule(FIG2, z).omega_a) <= 1e-6 * FIG2.omega0
 
     def test_zero_mismatch_noop(self):
         p = ModelParams(omega0=1.5, delta0=0.0, half_length=12.5)
         for z in np.linspace(-12.5, 12.5, 7):
-            assert cd_coupling(p, z, side=-1) == 0.0
+            assert effective_schedule(p, z, side=-1).omega_a == 0.0
 
     def test_finite_difference_oracle(self):
         # independent oracle: central difference of the mixing angle
@@ -108,18 +109,18 @@ class TestCdCoupling:
                 continue
             count += 1
             oracle = _fd_theta_dot(FIG2, z, dz) / 2.0
-            value = cd_coupling(FIG2, z)
+            value = effective_schedule(FIG2, z).omega_a
             assert abs(value - oracle) / max(abs(oracle), 1e-12) <= 1e-6
 
     def test_quarter_point_against_oracle(self):
         z = -FIG2.half_length / 4
         oracle = _fd_theta_dot(FIG2, z, 1e-6 * FIG2.half_length) / 2.0
-        assert cd_coupling(FIG2, z) == pytest.approx(oracle, rel=1e-6)
+        assert effective_schedule(FIG2, z).omega_a == pytest.approx(oracle, rel=1e-6)
 
     def test_nonnegative_and_even(self):
         for z in np.linspace(0.05, FIG2.half_length, 40):
-            left = cd_coupling(FIG2, -z)
-            right = cd_coupling(FIG2, z)
+            left = effective_schedule(FIG2, -z).omega_a
+            right = effective_schedule(FIG2, z).omega_a
             assert left >= 0.0
             assert abs(left - right) <= 1e-12
 
@@ -135,7 +136,8 @@ class TestEffectiveSchedule:
         p = ModelParams(omega0=1.5, delta0=0.0, half_length=12.5, sta=True)
         for z in np.linspace(-12.5, 12.5, 11):
             sp = effective_schedule(p, z, side=-1)
-            omega, delta = raw_schedule(p, z, side=-1)
+            raw = effective_schedule(p, z, side=-1)
+            omega, delta = raw.omega, raw.delta
             assert sp.omega_eff == omega
             assert sp.delta_eff == delta
             assert sp.omega_a == 0.0
@@ -238,3 +240,12 @@ class TestGeometrySynthesis:
     def test_bad_calibration_rejected(self):
         with pytest.raises(ValueError):
             GeometryCalibration(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["coupling_scale", "coupling_decay",
+                                       "mismatch_per_width"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_calibration_rejected(self, field, value):
+        values = {"coupling_scale": 5.0, "coupling_decay": 2.0,
+                  "mismatch_per_width": 0.5, field: value}
+        with pytest.raises(ValueError, match=field):
+            GeometryCalibration(**values)

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from sta_coupler.schedules import ModelParams
+from sta_coupler.schedules import ModelParams, effective_schedule
 from sta_coupler.splitter import (
     SplitterParams,
     build_h3,
+    build_reduced_h2,
     reduce_bright_dark,
     simulate_splitter,
     splitter_schedule,
@@ -26,6 +27,24 @@ class TestConstruction:
         assert m[0, 0] == 0.0 and m[2, 2] == 0.0
         assert m[0, 1] == m[1, 0] == m[1, 2] == m[2, 1]
         assert m[0, 2] == 0.0
+
+    @pytest.mark.parametrize("sp", [SplitterParams(BASE_RAW), SplitterParams(BASE, "direct")],
+                             ids=["raw", "direct"])
+    @pytest.mark.parametrize("z, side", [(-7.3, 0), (4.1, 0), (0.0, -1), (0.0, +1)])
+    def test_matrices_from_effective_schedule(self, sp, z, side):
+        pt = effective_schedule(sp.base, z, side)
+        w, d = (pt.omega_eff, pt.delta_eff) if sp.base.sta else (pt.omega, pt.delta)
+        assert np.array_equal(build_h3(sp).matrix(z, side),
+                              [[0, w, 0], [w, d, w], [0, w, 0]])
+        rw = math.sqrt(2.0) * w
+        assert np.array_equal(build_reduced_h2(sp).matrix(z, side), [[0, rw], [rw, d]])
+
+    def test_reduced_cd_matrices_from_schedule(self):
+        sp = SplitterParams(BASE, "reduced_cd")
+        w, d = splitter_schedule(sp, -5.0)
+        assert np.array_equal(build_h3(sp).matrix(-5.0), [[0, w, 0], [w, d, w], [0, w, 0]])
+        rw = math.sqrt(2.0) * w
+        assert np.array_equal(build_reduced_h2(sp).matrix(-5.0), [[0, rw], [rw, d]])
 
     def test_raw_schedule_passthrough(self):
         sp = SplitterParams(BASE_RAW)
