@@ -12,6 +12,7 @@ from .schedules import (  # noqa: F401
     effective_schedule,
     geometry_synthesis,
     mixing_angle,
+    schedule_grid,
 )
 from .propagation import (  # noqa: F401
     HamiltonianSpec,

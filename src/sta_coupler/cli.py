@@ -4,7 +4,7 @@ Subcommands: profile, simulate, splitter, sweep, threshold, check.
 A JSON config file (``--config``) may supply any option; its entries are
 parsed as flags placed before the command line, so they get the same checks
 and explicit flags override them.  Exit codes: 0 success, 2 argument/config
-error, 3 numerical failure.
+error, 3 numerical failure (including a non-finite or overflowing schedule).
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .coupler import simulate
-from .propagation import StiffnessError
-from .schedules import DiscontinuityError, ModelParams, diagnostics, effective_schedule
+from .propagation import StiffnessError, Trajectory
+from .schedules import DiscontinuityError, ModelParams, diagnostics, schedule_grid
 from .serialize import sweep_payload, write_csv, write_json, write_sweep_csv
 from .splitter import MODES, SplitterParams, simulate_splitter
 from .sweep import (
@@ -197,31 +197,28 @@ def _cmd_profile(args) -> int:
     p = _model(args)
     if args.samples < 2:
         raise ConfigError("--samples must be >= 2")
-    zs = np.linspace(-p.half_length, p.half_length, args.samples)
-    rows = []
-    for z in zs:
-        sp = effective_schedule(p, float(z), side=-1 if z == 0.0 else 0)
-        rows.append((sp.z, sp.omega, sp.delta, sp.omega_a, sp.omega_eff, sp.delta_eff))
-    _emit_rows(args, ("z", "omega", "delta", "omega_a", "omega_eff", "delta_eff"), rows)
+    sp = schedule_grid(p, np.linspace(-p.half_length, p.half_length, args.samples))
+    _emit_rows(args, ("z", "omega", "delta", "omega_a", "omega_eff", "delta_eff"),
+               zip(sp.z, sp.omega, sp.delta, sp.omega_a, sp.omega_eff, sp.delta_eff))
+    return EXIT_OK
+
+
+def _emit_trajectory(args, traj: Trajectory) -> int:
+    """Intensity trajectory as columns z, I1 .. In."""
+    width = traj.intensities.shape[1]
+    _emit_rows(args, ("z", *(f"I{k + 1}" for k in range(width))),
+               np.column_stack((traj.z, traj.intensities)))
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    p = _model(args)
-    result = simulate(p, input_guide=args.input_guide, tol=args.tol)
-    traj = result.trajectory
-    rows = [(z, i[0], i[1]) for z, i in zip(traj.z, traj.intensities)]
-    _emit_rows(args, ("z", "I1", "I2"), rows)
-    return EXIT_OK
+    result = simulate(_model(args), input_guide=args.input_guide, tol=args.tol)
+    return _emit_trajectory(args, result.trajectory)
 
 
 def _cmd_splitter(args) -> int:
-    p = _model(args)
-    result = simulate_splitter(SplitterParams(p, args.mode), tol=args.tol)
-    traj = result.trajectory
-    rows = [(z, i[0], i[1], i[2]) for z, i in zip(traj.z, traj.intensities)]
-    _emit_rows(args, ("z", "I1", "I2", "I3"), rows)
-    return EXIT_OK
+    result = simulate_splitter(SplitterParams(_model(args), args.mode), tol=args.tol)
+    return _emit_trajectory(args, result.trajectory)
 
 
 def _cmd_sweep(args) -> int:
@@ -290,7 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, DiscontinuityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (StiffnessError, TargetNotReached, OSError) as exc:
+    except (ArithmeticError, StiffnessError, TargetNotReached, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

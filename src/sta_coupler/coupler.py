@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
-from .schedules import ModelParams, drive, effective_schedule
+from .schedules import ModelParams, drive, schedule_grid
 
 __all__ = ["CouplerResult", "build_h2", "simulate", "adiabatic_projection"]
 
@@ -57,20 +56,15 @@ def adiabatic_projection(p: ModelParams, traj: Trajectory) -> np.ndarray:
     States are ordered by eigenvalue (ascending); returns shape (n, 2).
 
     The z = 0 sample, where the adiabatic labels swap, is assigned to the
-    left half.
+    left half (see :func:`schedule_grid`).
     """
     if traj.states.shape[1] != 2:
         raise ValueError("adiabatic projection is defined for dim-2 trajectories")
-    out = np.empty((len(traj.z), 2))
-    for i, (z, c) in enumerate(zip(traj.z, traj.states)):
-        side = -1 if z <= 0.0 else +1
-        sp = effective_schedule(p, float(z), side)
-        if p.sta:
-            c = np.array([np.exp(-0.5j * sp.phi) * c[0],
-                          np.exp(+0.5j * sp.phi) * c[1]])
-        half = 0.5 * sp.theta
-        minus = np.array([-math.sin(half), math.cos(half)])  # eigenvalue -E
-        plus = np.array([math.cos(half), math.sin(half)])    # eigenvalue +E
-        out[i, 0] = abs(np.dot(minus, c)) ** 2
-        out[i, 1] = abs(np.dot(plus, c)) ** 2
-    return out
+    sp = schedule_grid(p, traj.z)
+    c = traj.states
+    if p.sta:
+        c = c * np.exp(0.5j * np.outer(sp.phi, [-1.0, 1.0]))
+    sin, cos = np.sin(0.5 * sp.theta), np.cos(0.5 * sp.theta)
+    minus = -sin * c[:, 0] + cos * c[:, 1]  # eigenvalue -E
+    plus = cos * c[:, 0] + sin * c[:, 1]    # eigenvalue +E
+    return np.abs(np.column_stack((minus, plus))) ** 2

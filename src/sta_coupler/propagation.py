@@ -41,7 +41,7 @@ class HamiltonianSpec:
     terms are constant Hermitian (dim, dim) matrices, dim 2 or 3, checked
     once here; coefficients(z, side) returns the real rates f_k in 1/mm.  A
     real combination of Hermitian terms is Hermitian, so matrix() checks
-    only that the coefficients are real and one per term.  `side` is
+    only that the coefficients are real, finite and one per term.  `side` is
     consulted only when z coincides with one of the listed discontinuities.
     """
 
@@ -70,8 +70,11 @@ class HamiltonianSpec:
         f = self.coefficients(z, side)
         if len(f) != len(self.terms):
             raise ValueError(f"coefficients gave {len(f)} values for {len(self.terms)} terms")
-        if any(isinstance(c, complex) for c in f):
+        s = sum(f)  # complex if any coefficient is, nan or inf if any is not finite
+        if isinstance(s, complex):
             raise ValueError(f"coefficients must be real, got {f!r} at z={z}")
+        if not math.isfinite(s):
+            raise FloatingPointError(f"non-finite coefficients {f!r} at z={z}")
         return np.dot(f, self._flat).reshape(self.terms[0].shape)
 
 

@@ -11,8 +11,8 @@ schedules
     omega_eff = sqrt(omega**2 + omega_a**2)
     delta_eff = delta - phi_dot / 2
 
-All positions are in mm, all rates in 1/mm.  Evaluation exactly at the
-sign-flip point z = 0 must be side-tagged (side = -1 or +1); untagged
+All positions are in mm, all rates in 1/mm.  Point evaluation exactly at
+the sign-flip point z = 0 must be side-tagged (side = -1 or +1); untagged
 evaluation there raises :class:`DiscontinuityError`.
 """
 
@@ -34,6 +34,7 @@ __all__ = [
     "CalibrationDomainError",
     "mixing_angle",
     "effective_schedule",
+    "schedule_grid",
     "drive",
     "diagnostics",
     "geometry_synthesis",
@@ -186,7 +187,8 @@ def _closed_form(omega0: float, delta_left: float, half_length: float,
 
 
 def _check_position(p: ModelParams, z: float) -> None:
-    if abs(z) > p.half_length * (1.0 + 1e-12):
+    # written so that a NaN position fails too
+    if not abs(z) <= p.half_length * (1.0 + 1e-12):
         raise ValueError(f"position z={z} outside the device [-L, L], L={p.half_length}")
 
 
@@ -213,25 +215,36 @@ def drive(p: ModelParams, z: float, side: int = 0) -> tuple[float, float]:
     return (sp.omega_eff, sp.delta_eff) if p.sta else (sp.omega, sp.delta)
 
 
+def schedule_grid(p: ModelParams, zs: np.ndarray) -> SchedulePoint:
+    """Schedule points over positions zs, each field an array over zs.
+
+    A sample exactly at the sign flip z = 0 takes the left limit (side = -1).
+    The positions are checked against the device once per grid; a non-finite
+    field raises FloatingPointError naming the first position where it occurs.
+    """
+    zs = np.asarray(zs, dtype=float)
+    _check_position(p, np.max(np.abs(zs), initial=0.0))
+    points = [_closed_form(p.omega0, p.delta0, p.half_length, z, -1) for z in zs.tolist()]
+    fields = np.array(points).reshape(-1, len(SchedulePoint._fields)).T
+    bad = ~np.isfinite(fields).all(axis=0)
+    if bad.any():
+        raise FloatingPointError(f"non-finite schedule at z={zs[bad][0]}")
+    return SchedulePoint(*fields)
+
+
 def diagnostics(p: ModelParams, samples: int) -> Diagnostics:
     """Grid maxima of |theta_dot/2| / sqrt(omega^2 + delta^2) and
-    |omega_a| / |omega| over [-L, L].
+    |omega_a| / |omega| over [-L, L] (see :func:`schedule_grid`).
 
-    Each grid point is evaluated once.  An exact z = 0 sample is taken
-    from the left (side = -1); omega_a vanishes there on both sides, so the
-    side cannot change either maximum.
+    omega_a vanishes at z = 0 on both sides, so the side taken there
+    cannot change either maximum.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    max_ad = 0.0
-    max_cd = 0.0
-    for z in np.linspace(-p.half_length, p.half_length, samples):
-        pt = _closed_form(p.omega0, p.delta0, p.half_length, float(z), -1)
-        gap = math.hypot(pt.omega, pt.delta)
-        if gap > 0.0:
-            max_ad = max(max_ad, abs(pt.omega_a) / gap)
-        if pt.omega > 0.0:
-            max_cd = max(max_cd, abs(pt.omega_a) / pt.omega)
+    sp = schedule_grid(p, np.linspace(-p.half_length, p.half_length, samples))
+    omega_a, gap = np.abs(sp.omega_a), np.hypot(sp.omega, sp.delta)
+    max_ad = float(np.max(omega_a[gap > 0.0] / gap[gap > 0.0], initial=0.0))
+    max_cd = float(np.max(omega_a[sp.omega > 0.0] / sp.omega[sp.omega > 0.0], initial=0.0))
     return Diagnostics(
         max_adiabaticity_ratio=max_ad,
         max_cd_ratio=max_cd,

@@ -26,6 +26,7 @@ __all__ = [
 
 PARAMETERS = ("omega0", "delta0", "total_length")
 METRICS = ("final_i2", "splitting_infidelity")
+_COARSE_POINTS = 100  # threshold_length's scan grid over the search range
 
 
 class TargetNotReached(RuntimeError):
@@ -154,7 +155,7 @@ class ThresholdResult:
 
 def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
                      length_range: tuple[float, float] = (0.0, 2.0),
-                     tol: float = 1e-8, coarse_points: int = 100) -> ThresholdResult:
+                     tol: float = 1e-8) -> ThresholdResult:
     """Smallest total device length reaching the target transfer efficiency.
 
     A coarse scan stops at the first crossing (final_i2 need not be
@@ -169,7 +170,7 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     def metric(length: float) -> float:
         return metric_value("final_i2", sta, omega0, delta0, length, tol=tol)
 
-    lengths = np.linspace(lo_range, hi_range, coarse_points)
+    lengths = np.linspace(lo_range, hi_range, _COARSE_POINTS)
     missed = []
     for length in lengths:
         achieved = metric(float(length))

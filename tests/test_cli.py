@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sta_coupler
 from sta_coupler.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
@@ -223,6 +226,90 @@ class TestNonFinite:
                            "--length-max", "inf")
         assert code == EXIT_USAGE
         assert "search range" in err
+
+
+class TestNonFiniteSchedule:
+    """A schedule that overflows is a numerical failure (exit 3) wherever it
+    is evaluated, not a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--omega0", "1e200", "--delta0", "0.1", "--total-length", "10", "--sta"],
+        ["simulate", "--omega0", "1.5", "--delta0", "0.1", "--total-length", "1e-300", "--sta"],
+        ["splitter", "--omega0", "1e200", "--delta0", "0.1", "--total-length", "10", "--sta"],
+        ["threshold", "--omega0", "1.5", "--delta0", "0.1", "--length-max", "1e-300", "--sta"],
+    ], ids=["simulate-omega0", "simulate-length", "splitter", "threshold"])
+    def test_generator(self, argv, capsys):
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_NUMERICAL
+        assert "non-finite coefficients" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--omega0", "1e200", "--delta0", "1e200", "--total-length", "10", "--sta"],
+        ["profile", "--omega0", "1.5", "--delta0", "0.1", "--total-length", "1e-320",
+         "--sta", "--samples", "3"],
+    ], ids=["check", "profile"])
+    def test_grid(self, argv, capsys):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_NUMERICAL
+        assert "non-finite schedule" in err
+        assert out == ""
+
+    def test_closed_form_division_by_zero(self, capsys):
+        # a subnormal omega0 underflows omega to 0 and the closed form divides by 0
+        code, _, err = run(capsys, "profile", "--omega0", "1e-320", "--delta0", "0.1",
+                           "--total-length", "10", "--sta", "--samples", "3")
+        assert code == EXIT_NUMERICAL
+        assert "division by zero" in err
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for v in doc:
+            yield from _numbers(v)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield doc
+
+
+_NUMBER = st.one_of(
+    st.floats().map(repr),  # includes 0, subnormals, extremes, nan and inf
+    st.sampled_from(["0", "5e-324", "1e-320", "1e-300", "1e300", "nan", "inf", "abc"]),
+)
+
+
+class TestFuzz:
+    """profile and check, which run no integrator, keep the exit-code
+    contract on arbitrary numbers: 0, 2 or 3 and no traceback, and exit 0
+    only with finite output."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(["profile", "check"]), _NUMBER, _NUMBER, _NUMBER,
+           st.integers(2, 50), st.booleans(), st.sampled_from(["csv", "json"]))
+    @example("profile", "1.5", "0.1", "1e-320", 3, True, "csv")
+    @example("profile", "1e-320", "0.1", "10", 3, True, "json")
+    @example("check", "1e200", "1e200", "10", 10, True, "json")
+    def test_exit_contract(self, command, omega0, delta0, length, samples, sta, fmt):
+        argv = [command, f"--omega0={omega0}", f"--delta0={delta0}",
+                f"--total-length={length}", f"--samples={samples}",
+                "--sta" if sta else "--no-sta"]
+        if command == "profile":
+            argv.append(f"--format={fmt}")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the value
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL), argv
+        if code == EXIT_OK:
+            text = out.getvalue()
+            if command == "profile" and fmt == "csv":
+                values = [float(v) for row in list(csv.reader(text.splitlines()))[1:]
+                          for v in row]
+            else:
+                values = list(_numbers(json.loads(text)))
+            assert values and all(math.isfinite(v) for v in values), argv
 
 
 class TestConfig:

@@ -53,7 +53,7 @@ class TestValidation:
 
 class TestSpecContract:
     """Terms are checked once at construction; each call checks only that
-    the coefficients are real and one per term."""
+    the coefficients are real, finite and one per term."""
 
     @pytest.mark.parametrize("terms", [(SIGMA_X, np.eye(3)), (), (np.ones(2),)],
                              ids=["mixed", "none", "vector"])
@@ -75,6 +75,12 @@ class TestSpecContract:
     def test_complex_coefficient_rejected(self, bad):
         h = HamiltonianSpec((SIGMA_X, SIGMA_Z), lambda z, s: (bad, 0.1))
         with pytest.raises(ValueError, match="real"):
+            h.matrix(0.3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_is_numerical_failure(self, bad):
+        h = HamiltonianSpec((SIGMA_X, SIGMA_Z), lambda z, s: (0.7, bad))
+        with pytest.raises(FloatingPointError, match="z=0.3"):
             h.matrix(0.3)
 
     def test_coefficient_count_checked(self):

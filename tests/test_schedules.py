@@ -15,6 +15,7 @@ from sta_coupler.schedules import (
     effective_schedule,
     geometry_synthesis,
     mixing_angle,
+    schedule_grid,
 )
 
 FIG2 = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=True)
@@ -49,6 +50,10 @@ class TestRawSchedule:
     def test_outside_device_raises(self):
         with pytest.raises(ValueError):
             effective_schedule(FIG2, 13.0)
+
+    def test_nan_position_raises(self):
+        with pytest.raises(ValueError, match="outside the device"):
+            effective_schedule(FIG2, math.nan)
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):
@@ -169,6 +174,37 @@ class TestEffectiveSchedule:
     def test_untagged_midpoint_raises(self):
         with pytest.raises(DiscontinuityError):
             effective_schedule(FIG2, 0.0)
+
+
+class TestScheduleGrid:
+    @pytest.mark.parametrize("sta", [False, True])
+    def test_fields_match_point_evaluation(self, sta):
+        p = ModelParams(1.5, 0.1, 12.5, sta)
+        zs = np.linspace(-12.5, 12.5, 9)
+        grid = schedule_grid(p, zs)
+        assert all(f.shape == (9,) for f in grid)
+        for i, z in enumerate(zs):
+            expected = effective_schedule(p, float(z), side=-1 if z == 0.0 else 0)
+            assert tuple(f[i] for f in grid) == expected
+
+    def test_midpoint_is_left_limit(self):
+        grid = schedule_grid(FIG2, [-1.0, 0.0, 1.0])
+        assert grid.delta.tolist() == [0.1, 0.1, -0.1]
+
+    @pytest.mark.parametrize("z", [13.0, -13.0, math.nan])
+    def test_positions_checked(self, z):
+        with pytest.raises(ValueError, match="outside the device"):
+            schedule_grid(FIG2, [0.0, z, 1.0])
+
+    def test_non_finite_schedule_names_first_position(self):
+        # k = 2*pi/L overflows to inf, so the derivatives and STA fields are nan
+        p = ModelParams(1.5, 0.1, 5e-321, sta=True)
+        with pytest.raises(FloatingPointError, match=r"z=-5e-321"):
+            schedule_grid(p, np.linspace(-5e-321, 5e-321, 3))
+
+    def test_diagnostics_non_finite_schedule(self):
+        with pytest.raises(FloatingPointError, match="non-finite schedule"):
+            diagnostics(ModelParams(1e200, 1e200, 5.0, sta=True), 11)
 
 
 class TestDiagnostics:
