@@ -19,7 +19,7 @@ import numpy as np
 from .coupler import simulate
 from .propagation import StiffnessError, Trajectory
 from .schedules import DiscontinuityError, ModelParams, diagnostics, schedule_grid
-from .serialize import sweep_payload, write_csv, write_json, write_sweep_csv
+from .serialize import format_float, write_csv, write_json
 from .splitter import MODES, SplitterParams, simulate_splitter
 from .sweep import (
     AxisSpec,
@@ -51,11 +51,12 @@ def _axis(text: str) -> AxisSpec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _add_model_args(sp: argparse.ArgumentParser) -> None:
+def _add_model_args(sp: argparse.ArgumentParser, length: bool = True) -> None:
     sp.add_argument("--omega0", type=float, help="maximum coupling, 1/mm")
     sp.add_argument("--delta0", type=float, help="phase mismatch magnitude, 1/mm")
-    sp.add_argument("--total-length", type=float, dest="total_length",
-                    help="device length 2L, mm")
+    if length:
+        sp.add_argument("--total-length", type=float, dest="total_length",
+                        help="device length 2L, mm")
     sp.add_argument("--sta", action=argparse.BooleanOptionalAction, default=False,
                     help="use the counterdiabatic effective schedules")
 
@@ -99,11 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="reduced_cd",
                    help="splitter mode for splitting_infidelity")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--workers", type=int, default=1)
     _add_output_args(p)
 
     p = sub.add_parser("threshold", help="minimal device length for a target efficiency")
-    _add_model_args(p)
+    _add_model_args(p, length=False)
     p.add_argument("--target", type=float, default=0.99)
     p.add_argument("--length-min", type=float, dest="length_min", default=0.0)
     p.add_argument("--length-max", type=float, dest="length_max", default=2.0)
@@ -197,7 +197,9 @@ def _cmd_profile(args) -> int:
     p = _model(args)
     if args.samples < 2:
         raise ConfigError("--samples must be >= 2")
-    sp = schedule_grid(p, np.linspace(-p.half_length, p.half_length, args.samples))
+    with np.errstate(over="ignore"):  # as in schedules.diagnostics
+        zs = np.linspace(-p.half_length, p.half_length, args.samples)
+    sp = schedule_grid(p, zs)
     _emit_rows(args, ("z", "omega", "delta", "omega_a", "omega_eff", "delta_eff"),
                zip(sp.z, sp.omega, sp.delta, sp.omega_a, sp.omega_eff, sp.delta_eff))
     return EXIT_OK
@@ -223,24 +225,33 @@ def _cmd_splitter(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _require(args, "axis_x", "axis_y")
-    axis_names = {args.axis_x.name, args.axis_y.name}
+    axes = {args.axis_x.name: "--axis-x", args.axis_y.name: "--axis-y"}
     fixed = {}
     for name in ("omega0", "delta0", "total_length"):
-        if name not in axis_names:
-            value = getattr(args, name)
-            if value is None:
-                raise ConfigError(f"--{name.replace('_', '-')} must fix the unswept parameter")
+        flag, value = "--" + name.replace("_", "-"), getattr(args, name)
+        if name in axes:
+            if value is not None:
+                raise ConfigError(f"{flag} fixes {name}, which {axes[name]} sweeps")
+        elif value is None:
+            raise ConfigError(f"{flag} must fix the unswept parameter")
+        else:
             fixed[name] = value
     if args.fmt == "csv" and args.output == "-":
         raise ConfigError("sweep CSV output requires --output PATH")
     spec = SweepSpec(axis_x=args.axis_x, axis_y=args.axis_y, fixed=fixed,
                      metric=args.metric, sta=args.sta, tol=args.tol,
                      splitter_mode=args.mode)
-    result = run_sweep(spec, workers=args.workers)
+    result = run_sweep(spec)
+    x, y = spec.axis_x.name, spec.axis_y.name
     if args.fmt == "csv":
-        write_sweep_csv(args.output, result)
+        # header row: the x-axis samples; first column: the y-axis samples
+        header = [f"{y}\\{x}", *map(format_float, result.x_values)]
+        write_csv(args.output, header,
+                  ([v, *row] for v, row in zip(result.y_values, result.grid)))
     else:
-        payload = sweep_payload(result) | {"provenance_sweep": result.provenance}
+        payload = {"axes": {"x": {"name": x, "values": result.x_values.tolist()},
+                            "y": {"name": y, "values": result.y_values.tolist()}},
+                   "grid": result.grid.tolist(), "backend": result.backend}
         write_json(args.output, payload, _inputs(args))
     return EXIT_OK
 

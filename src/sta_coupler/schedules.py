@@ -173,14 +173,19 @@ def _closed_form(omega0: float, delta_left: float, half_length: float,
         return SchedulePoint(z, omega, delta, 0.0, 0.0, theta, omega, delta)
 
     denom = omega * omega + delta * delta
-    omega_a = omega_dot * delta / (2.0 * denom)
-    omega_a_dot = delta * (omega_ddot * denom - 2.0 * omega * omega_dot * omega_dot) / (
-        2.0 * denom * denom
-    )
+    try:
+        omega_a = omega_dot * delta / (2.0 * denom)
+        omega_a_dot = delta * (omega_ddot * denom - 2.0 * omega * omega_dot * omega_dot) / (
+            2.0 * denom * denom
+        )
+        phi_dot = (omega_a_dot * omega - omega_dot * omega_a) / (
+            omega * omega + omega_a * omega_a
+        )
+    except ZeroDivisionError:
+        # a subnormal omega0 or delta0 underflows one of the divisors to 0
+        which = "omega^2 + delta^2" if denom * denom == 0.0 else "omega^2 + omega_a^2"
+        raise FloatingPointError(f"{which} underflows at z={z}") from None
     phi = math.atan2(omega_a, omega)
-    phi_dot = (omega_a_dot * omega - omega_dot * omega_a) / (
-        omega * omega + omega_a * omega_a
-    )
     omega_eff = math.hypot(omega, omega_a)
     delta_eff = delta - phi_dot / 2.0
     return SchedulePoint(z, omega, delta, omega_a, phi, theta, omega_eff, delta_eff)
@@ -241,7 +246,11 @@ def diagnostics(p: ModelParams, samples: int) -> Diagnostics:
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    sp = schedule_grid(p, np.linspace(-p.half_length, p.half_length, samples))
+    # at 2L near the float maximum, linspace overflows computing its last
+    # sample and then overwrites it with L, so the grid it returns is right
+    with np.errstate(over="ignore"):
+        zs = np.linspace(-p.half_length, p.half_length, samples)
+    sp = schedule_grid(p, zs)
     omega_a, gap = np.abs(sp.omega_a), np.hypot(sp.omega, sp.delta)
     max_ad = float(np.max(omega_a[gap > 0.0] / gap[gap > 0.0], initial=0.0))
     max_cd = float(np.max(omega_a[sp.omega > 0.0] / sp.omega[sp.omega > 0.0], initial=0.0))

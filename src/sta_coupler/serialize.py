@@ -11,12 +11,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
-import numpy as np
-
 from . import __version__
-from .sweep import SweepResult
 
-__all__ = ["format_float", "write_csv", "write_json", "sweep_payload"]
+__all__ = ["format_float", "write_csv", "write_json"]
 
 
 def format_float(x: float) -> str:
@@ -52,24 +49,3 @@ def write_json(path: str | Path, payload: dict, inputs: dict) -> None:
     with _open_output(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def sweep_payload(result: SweepResult) -> dict:
-    return {
-        "axes": {
-            "x": {"name": result.provenance.get("axis_x", {}).get("name", "x"),
-                  "values": np.asarray(result.x_values).tolist()},
-            "y": {"name": result.provenance.get("axis_y", {}).get("name", "y"),
-                  "values": np.asarray(result.y_values).tolist()},
-        },
-        "grid": np.asarray(result.grid).tolist(),
-    }
-
-
-def write_sweep_csv(path: str | Path, result: SweepResult) -> None:
-    """Grid as CSV: header row carries the x-axis samples, first column
-    the y-axis samples."""
-    x_name = result.provenance.get("axis_x", {}).get("name", "x")
-    y_name = result.provenance.get("axis_y", {}).get("name", "y")
-    header = [f"{y_name}\\{x_name}"] + [format_float(x) for x in result.x_values]
-    write_csv(path, header, ([y, *row] for y, row in zip(result.y_values, result.grid)))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,16 +84,13 @@ class SweepSpec:
         if set(self.fixed) != remaining:
             raise ValueError(f"fixed must provide exactly {sorted(remaining)}")
 
-    def provenance(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class SweepResult:
     grid: np.ndarray  # shape (ny, nx), row-major over the y axis
     x_values: np.ndarray
     y_values: np.ndarray
-    provenance: dict = field(default_factory=dict)
+    backend: str
 
 
 def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
@@ -143,8 +140,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         for idx in indices:
             cell(idx)
 
-    return SweepResult(grid=grid, x_values=xs, y_values=ys,
-                       provenance=spec.provenance() | {"backend": "adaptive-dop853"})
+    return SweepResult(grid=grid, x_values=xs, y_values=ys, backend="adaptive-dop853")
 
 
 @dataclass(frozen=True)

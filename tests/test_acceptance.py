@@ -263,7 +263,7 @@ def test_acceptance_8_robustness_ordering(report):
                          axis_y=AxisSpec("delta0", 0.0, 5.0, 64),
                          fixed={"total_length": 10.0}, metric="final_i2",
                          sta=sta, tol=1e-6)
-        return run_sweep(spec, workers=4)
+        return run_sweep(spec)
 
     frac_sta = robust_region_fraction(sweep(True), 0.95)
     frac_raw = robust_region_fraction(sweep(False), 0.95)

@@ -115,19 +115,23 @@ class TestSweep:
         assert doc["axes"]["x"]["name"] == "omega0"
         assert len(doc["grid"]) == 2
         assert len(doc["grid"][0]) == 3
-        assert doc["provenance_sweep"]["metric"] == "final_i2"
+        assert doc["backend"] == "adaptive-dop853"
+        assert "provenance_sweep" not in doc
+        assert doc["provenance"]["inputs"]["metric"] == "final_i2"
 
     def test_bad_axis_syntax(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--axis-x", "omega0:0.5:2"])
         assert exc.value.code == EXIT_USAGE
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_must_be_positive(self, workers, tmp_path, capsys):
-        code, _, err = run(capsys, *self.ARGS, "--workers", workers,
+    @pytest.mark.parametrize("flag,axis", [("--omega0", "--axis-x"),
+                                           ("--total-length", "--axis-y")])
+    def test_swept_parameter_cannot_be_fixed(self, flag, axis, tmp_path, capsys):
+        code, _, err = run(capsys, *self.ARGS, flag, "77",
                            "--output", str(tmp_path / "grid.csv"))
         assert code == EXIT_USAGE
-        assert "workers" in err
+        assert f"{flag} fixes" in err and f"which {axis} sweeps" in err
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_missing_fixed_parameter(self, capsys):
         code, _, err = run(capsys, "sweep", "--axis-x", "omega0:0.5:2:2",
@@ -189,11 +193,14 @@ class TestCheck:
 
 
 class TestRemovedOptions:
-    # threshold prints one line and check always writes JSON
+    # threshold prints one line and searches the length itself, check always
+    # writes JSON, and sweeps run serially
     @pytest.mark.parametrize("argv", [
         ["threshold", "--omega0", "5", "--delta0", "1", "--output", "t.csv"],
         ["threshold", "--omega0", "5", "--delta0", "1", "--format", "json"],
         ["check", *MODEL, "--format", "csv"],
+        ["threshold", "--omega0", "5", "--delta0", "1", "--total-length", "5"],
+        [*TestSweep.ARGS, "--workers", "2"],
     ])
     def test_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -255,11 +262,18 @@ class TestNonFiniteSchedule:
         assert out == ""
 
     def test_closed_form_division_by_zero(self, capsys):
-        # a subnormal omega0 underflows omega to 0 and the closed form divides by 0
-        code, _, err = run(capsys, "profile", "--omega0", "1e-320", "--delta0", "0.1",
-                           "--total-length", "10", "--sta", "--samples", "3")
-        assert code == EXIT_NUMERICAL
-        assert "division by zero" in err
+        # a subnormal omega0 or delta0 underflows a sum that the closed form
+        # divides by, on a grid and inside the integrator alike
+        for argv, which in [
+            (["profile", "--omega0", "1e-320", "--delta0", "0.1", "--samples", "3"],
+             "omega^2 + omega_a^2"),
+            (["check", "--omega0", "1e-320", "--delta0", "1e-320"], "omega^2 + delta^2"),
+            (["simulate", "--omega0", "1e-320", "--delta0", "0.1"], "omega^2 + omega_a^2"),
+        ]:
+            code, out, err = run(capsys, *argv, "--total-length", "10", "--sta")
+            assert code == EXIT_NUMERICAL, argv
+            assert err == f"error: {which} underflows at z=-5.0\n", argv
+            assert out == "", argv
 
 
 def _numbers(doc):
@@ -281,14 +295,17 @@ _NUMBER = st.one_of(
 class TestFuzz:
     """profile and check, which run no integrator, keep the exit-code
     contract on arbitrary numbers: 0, 2 or 3 and no traceback, and exit 0
-    only with finite output."""
+    only with finite output; a RuntimeWarning fails the test."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(["profile", "check"]), _NUMBER, _NUMBER, _NUMBER,
            st.integers(2, 50), st.booleans(), st.sampled_from(["csv", "json"]))
     @example("profile", "1.5", "0.1", "1e-320", 3, True, "csv")
     @example("profile", "1e-320", "0.1", "10", 3, True, "json")
     @example("check", "1e200", "1e200", "10", 10, True, "json")
+    @example("profile", "0", "0", "1.7976931348623157e+308", 4, False, "csv")
+    @example("check", "0", "0", "1.7976931348623157e+308", 4, False, "json")
     def test_exit_contract(self, command, omega0, delta0, length, samples, sta, fmt):
         argv = [command, f"--omega0={omega0}", f"--delta0={delta0}",
                 f"--total-length={length}", f"--samples={samples}",
