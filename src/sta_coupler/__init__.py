@@ -11,7 +11,6 @@ from .schedules import (  # noqa: F401
     drive,
     effective_schedule,
     geometry_synthesis,
-    mixing_angle,
     schedule_grid,
 )
 from .propagation import (  # noqa: F401

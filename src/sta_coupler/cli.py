@@ -3,8 +3,9 @@
 Subcommands: profile, simulate, splitter, sweep, threshold, check.
 A JSON config file (``--config``) may supply any option; its entries are
 parsed as flags placed before the command line, so they get the same checks
-and explicit flags override them.  Exit codes: 0 success, 2 argument/config
-error, 3 numerical failure (including a non-finite or overflowing schedule).
+and explicit flags override them.  Exit codes: 0 success, 2 argument, config
+or file error, 3 numerical failure (including a non-finite or overflowing
+schedule or integration).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .coupler import simulate
 from .propagation import StiffnessError, Trajectory
-from .schedules import DiscontinuityError, ModelParams, diagnostics, schedule_grid
+from .schedules import ModelParams, diagnostics, schedule_grid
 from .serialize import format_float, write_csv, write_json
 from .splitter import MODES, SplitterParams, simulate_splitter
 from .sweep import (
@@ -32,10 +33,6 @@ from .sweep import (
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _axis(text: str) -> AxisSpec:
@@ -87,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("splitter", help="three-guide beam-splitter trajectory")
     _add_model_args(p)
-    p.add_argument("--mode", choices=MODES, default="reduced_cd")
+    p.add_argument("--mode", choices=MODES, help="STA construction (default reduced_cd)")
     p.add_argument("--tol", type=float, default=1e-10)
     _add_output_args(p)
 
@@ -97,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axis-y", type=_axis, dest="axis_y", help="name:lo:hi:count")
     p.add_argument("--metric", choices=("final_i2", "splitting_infidelity"),
                    default="final_i2")
-    p.add_argument("--mode", choices=MODES, default="reduced_cd",
-                   help="splitter mode for splitting_infidelity")
+    p.add_argument("--mode", choices=MODES,
+                   help="STA splitter construction for splitting_infidelity")
     p.add_argument("--tol", type=float, default=1e-8)
     _add_output_args(p)
 
@@ -129,20 +126,20 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
         with open(args.config) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse config {args.config}: {exc}") from exc
+        raise ValueError(f"cannot parse config {args.config}: {exc}") from exc
     if not isinstance(doc, dict) or len(doc) != 1:
-        raise ConfigError("config must contain exactly one top-level command object")
+        raise ValueError("config must contain exactly one top-level command object")
     (command, config), = doc.items()
     if command != args.command:
-        raise ConfigError(
+        raise ValueError(
             f"config is for command {command!r}, invoked {args.command!r}"
         )
     if not isinstance(config, dict):
-        raise ConfigError("command object must be a JSON object")
+        raise ValueError("command object must be a JSON object")
     known = set(vars(args)) - {"command", "config"}
     unknown = set(config) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
     tokens = []
     for key, value in config.items():
@@ -152,8 +149,8 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
             continue
         if isinstance(value, dict):
             if set(value) != set(_AXIS_KEYS):
-                raise ConfigError(f"config {key!r} object needs exactly the keys "
-                                  + ", ".join(_AXIS_KEYS))
+                raise ValueError(f"config {key!r} object needs exactly the keys "
+                                 + ", ".join(_AXIS_KEYS))
             value = ":".join(str(value[k]) for k in _AXIS_KEYS)
         tokens.append(f"{flag}={value}")
     return tokens
@@ -162,8 +159,8 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
 def _require(args: argparse.Namespace, *names: str) -> None:
     missing = [n for n in names if getattr(args, n, None) is None]
     if missing:
-        raise ConfigError(f"missing required option(s): "
-                          + ", ".join("--" + n.replace("_", "-") for n in missing))
+        raise ValueError(f"missing required option(s): "
+                         + ", ".join("--" + n.replace("_", "-") for n in missing))
 
 
 def _model(args: argparse.Namespace) -> ModelParams:
@@ -196,7 +193,7 @@ def _inputs(args: argparse.Namespace) -> dict:
 def _cmd_profile(args) -> int:
     p = _model(args)
     if args.samples < 2:
-        raise ConfigError("--samples must be >= 2")
+        raise ValueError("--samples must be >= 2")
     with np.errstate(over="ignore"):  # as in schedules.diagnostics
         zs = np.linspace(-p.half_length, p.half_length, args.samples)
     sp = schedule_grid(p, zs)
@@ -218,8 +215,19 @@ def _cmd_simulate(args) -> int:
     return _emit_trajectory(args, result.trajectory)
 
 
+def _mode(args: argparse.Namespace, acts: bool, needs: str) -> str:
+    """The splitter mode to run.  args.mode, which the provenance records,
+    becomes the mode used, or stays None where --mode cannot act."""
+    if args.mode is not None and not acts:
+        raise ValueError(f"--mode needs {needs}")
+    if acts:
+        args.mode = args.mode or "reduced_cd"
+    return args.mode or "reduced_cd"  # read only where a mode acts
+
+
 def _cmd_splitter(args) -> int:
-    result = simulate_splitter(SplitterParams(_model(args), args.mode), tol=args.tol)
+    sp = SplitterParams(_model(args), _mode(args, args.sta, "--sta"))
+    result = simulate_splitter(sp, tol=args.tol)
     return _emit_trajectory(args, result.trajectory)
 
 
@@ -231,16 +239,17 @@ def _cmd_sweep(args) -> int:
         flag, value = "--" + name.replace("_", "-"), getattr(args, name)
         if name in axes:
             if value is not None:
-                raise ConfigError(f"{flag} fixes {name}, which {axes[name]} sweeps")
+                raise ValueError(f"{flag} fixes {name}, which {axes[name]} sweeps")
         elif value is None:
-            raise ConfigError(f"{flag} must fix the unswept parameter")
+            raise ValueError(f"{flag} must fix the unswept parameter")
         else:
             fixed[name] = value
     if args.fmt == "csv" and args.output == "-":
-        raise ConfigError("sweep CSV output requires --output PATH")
+        raise ValueError("sweep CSV output requires --output PATH")
+    mode = _mode(args, args.metric == "splitting_infidelity" and args.sta,
+                 "--metric splitting_infidelity and --sta")
     spec = SweepSpec(axis_x=args.axis_x, axis_y=args.axis_y, fixed=fixed,
-                     metric=args.metric, sta=args.sta, tol=args.tol,
-                     splitter_mode=args.mode)
+                     metric=args.metric, sta=args.sta, tol=args.tol, splitter_mode=mode)
     result = run_sweep(spec)
     x, y = spec.axis_x.name, spec.axis_y.name
     if args.fmt == "csv":
@@ -295,10 +304,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             # argv[0] is the command; config tokens go first so flags win
             args = parser.parse_args([argv[0], *_config_argv(args), *argv[1:]])
         return _COMMANDS[args.command](args)
-    except (ConfigError, DiscontinuityError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, StiffnessError, TargetNotReached, OSError) as exc:
+    except (ArithmeticError, StiffnessError, TargetNotReached) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -149,7 +149,12 @@ def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
         def rhs(z: float, y: np.ndarray, a: float = a, b: float = b) -> np.ndarray:
             return -1j * (h.matrix(z, _side_at(h, z, a, b)) @ y)
 
-        sol = solve_ivp(rhs, (a, b), c, method="DOP853", rtol=tol, atol=tol)
+        try:
+            # stop at an overflow, not when the step shrinks below the spacing
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                sol = solve_ivp(rhs, (a, b), c, method="DOP853", rtol=tol, atol=tol)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{exc} on [{a}, {b}]") from exc
         if not sol.success:
             raise StiffnessError(f"integration failed on [{a}, {b}]: {sol.message}")
         nfev += sol.nfev

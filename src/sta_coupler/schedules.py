@@ -4,12 +4,13 @@ The coupling between the two guides is a hyperbolic secant,
 ``omega(z) = omega0 * sech(2*pi*z / L)``, and the mismatch is piecewise
 constant, ``+delta0`` for z < 0 and ``-delta0`` for z > 0, over a device
 spanning z in [-L, +L] (total length 2L).  The counterdiabatic correction
-adds a term ``omega_a = theta_dot / 2`` which, after a diagonal phase
-rotation by ``phi = atan2(omega_a, omega)``, yields the physical effective
-schedules
+adds a term ``omega_a = theta_dot / 2``, with ``theta = atan2(omega, delta)``
+the mixing angle, which, after a diagonal phase rotation by
+``phi = atan(r)`` with ``r = omega_a / omega``, yields the physical
+effective schedules
 
     omega_eff = sqrt(omega**2 + omega_a**2)
-    delta_eff = delta - phi_dot / 2
+    delta_eff = delta - phi_dot / 2 = delta - r_dot / (2 * (1 + r**2))
 
 All positions are in mm, all rates in 1/mm.  Point evaluation exactly at
 the sign-flip point z = 0 must be side-tagged (side = -1 or +1); untagged
@@ -30,9 +31,7 @@ __all__ = [
     "Diagnostics",
     "GeometryCalibration",
     "DiscontinuityError",
-    "UndefinedAngleError",
     "CalibrationDomainError",
-    "mixing_angle",
     "effective_schedule",
     "schedule_grid",
     "drive",
@@ -43,10 +42,6 @@ __all__ = [
 
 class DiscontinuityError(ValueError):
     """Untagged evaluation at the sign-flip point z = 0."""
-
-
-class UndefinedAngleError(ValueError):
-    """Mixing angle requested for omega = delta = 0."""
 
 
 class CalibrationDomainError(ValueError):
@@ -154,17 +149,13 @@ def _closed_form(omega0: float, delta_left: float, half_length: float,
     (delta_left may be negative, which the three-guide reduction needs).
     """
     sgn = _resolve_side(z, side)
-    L = half_length
-    k = 2.0 * math.pi / L
+    k = 2.0 * math.pi / half_length
     u = k * z
     sech = 1.0 / math.cosh(u)
     tanh = math.tanh(u)
 
     omega = omega0 * sech
-    omega_dot = -omega0 * k * sech * tanh
-    omega_ddot = omega0 * k * k * sech * (tanh * tanh - sech * sech)
     delta = delta_left if sgn < 0 else -delta_left
-
     theta = math.atan2(omega, delta)
 
     if omega0 == 0.0 or delta_left == 0.0:
@@ -172,37 +163,26 @@ def _closed_form(omega0: float, delta_left: float, half_length: float,
         # vanishes identically and the STA schedules reduce to the raw ones.
         return SchedulePoint(z, omega, delta, 0.0, 0.0, theta, omega, delta)
 
+    # r = omega_a / omega = -(k/2) tanh(u) delta / D and its derivative,
+    # with D = omega^2 + delta^2 the only divisor
     denom = omega * omega + delta * delta
     try:
-        omega_a = omega_dot * delta / (2.0 * denom)
-        omega_a_dot = delta * (omega_ddot * denom - 2.0 * omega * omega_dot * omega_dot) / (
-            2.0 * denom * denom
-        )
-        phi_dot = (omega_a_dot * omega - omega_dot * omega_a) / (
-            omega * omega + omega_a * omega_a
-        )
+        rate = -0.5 * k * (delta / denom)  # r / tanh(u)
+        r_dot = k * rate * (sech * sech + 2.0 * (omega * omega / denom) * tanh * tanh)
     except ZeroDivisionError:
-        # a subnormal omega0 or delta0 underflows one of the divisors to 0
-        which = "omega^2 + delta^2" if denom * denom == 0.0 else "omega^2 + omega_a^2"
-        raise FloatingPointError(f"{which} underflows at z={z}") from None
-    phi = math.atan2(omega_a, omega)
+        # a subnormal omega0 and delta0 underflow the sum to 0
+        raise FloatingPointError(f"omega^2 + delta^2 underflows at z={z}") from None
+    r = rate * tanh
+    omega_a = r * omega
     omega_eff = math.hypot(omega, omega_a)
-    delta_eff = delta - phi_dot / 2.0
-    return SchedulePoint(z, omega, delta, omega_a, phi, theta, omega_eff, delta_eff)
+    delta_eff = delta - r_dot / (2.0 * (1.0 + r * r))
+    return SchedulePoint(z, omega, delta, omega_a, math.atan(r), theta, omega_eff, delta_eff)
 
 
 def _check_position(p: ModelParams, z: float) -> None:
     # written so that a NaN position fails too
     if not abs(z) <= p.half_length * (1.0 + 1e-12):
         raise ValueError(f"position z={z} outside the device [-L, L], L={p.half_length}")
-
-
-def mixing_angle(omega: float, delta: float) -> float:
-    """Mixing angle theta with tan(theta) = omega/delta, theta in (0, pi)
-    for omega > 0."""
-    if omega == 0.0 and delta == 0.0:
-        raise UndefinedAngleError("mixing angle undefined for omega = delta = 0")
-    return math.atan2(omega, delta)
 
 
 def effective_schedule(p: ModelParams, z: float, side: int = 0) -> SchedulePoint:

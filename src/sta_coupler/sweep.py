@@ -62,7 +62,10 @@ class AxisSpec:
 
     @property
     def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.count)
+        # as in schedules.diagnostics: near the float maximum, linspace
+        # overflows only in its last sample, which it then sets to hi
+        with np.errstate(over="ignore"):
+            return np.linspace(self.lo, self.hi, self.count)
 
 
 @dataclass(frozen=True)

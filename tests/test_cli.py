@@ -76,6 +76,13 @@ class TestSimulate:
                          "0.1", "--total-length", "1")
         assert code == EXIT_USAGE
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "simulate", *MODEL, "--output", str(path))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and str(path) in err
+        assert out == "" and not path.parent.exists()
+
 
 class TestSplitter:
     def test_outputs_three_intensities(self, capsys):
@@ -86,6 +93,23 @@ class TestSplitter:
         last = rows[-1].split(",")
         assert float(last[1]) == pytest.approx(0.5, abs=0.01)
         assert float(last[3]) == pytest.approx(0.5, abs=0.01)
+
+    def test_mode_needs_sta(self, capsys):
+        # the raw splitter has no construction to choose
+        code, out, err = run(capsys, "splitter", *MODEL, "--mode", "direct")
+        assert code == EXIT_USAGE
+        assert err == "error: --mode needs --sta\n" and out == ""
+
+    @pytest.mark.parametrize("argv,mode", [
+        (["--sta", "--mode", "direct"], "direct"),
+        (["--sta"], "reduced_cd"),
+        ([], None),
+    ])
+    def test_records_mode_used(self, argv, mode, capsys):
+        code, out, _ = run(capsys, "splitter", "--omega0", "1.5", "--delta0", "0.1",
+                           "--total-length", "5", "--tol", "1e-6", *argv, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["provenance"]["inputs"]["mode"] == mode
 
 
 class TestSweep:
@@ -118,6 +142,18 @@ class TestSweep:
         assert doc["backend"] == "adaptive-dop853"
         assert "provenance_sweep" not in doc
         assert doc["provenance"]["inputs"]["metric"] == "final_i2"
+        assert doc["provenance"]["inputs"]["mode"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "direct"],
+        ["--mode", "direct", "--metric", "splitting_infidelity", "--no-sta"],
+    ])
+    def test_mode_needs_splitting_sta(self, argv, tmp_path, capsys):
+        path = tmp_path / "grid.csv"
+        code, _, err = run(capsys, *self.ARGS, *argv, "--output", str(path))
+        assert code == EXIT_USAGE
+        assert err == "error: --mode needs --metric splitting_infidelity and --sta\n"
+        assert not path.exists()
 
     def test_bad_axis_syntax(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -262,18 +298,30 @@ class TestNonFiniteSchedule:
         assert out == ""
 
     def test_closed_form_division_by_zero(self, capsys):
-        # a subnormal omega0 or delta0 underflows a sum that the closed form
-        # divides by, on a grid and inside the integrator alike
-        for argv, which in [
-            (["profile", "--omega0", "1e-320", "--delta0", "0.1", "--samples", "3"],
-             "omega^2 + omega_a^2"),
-            (["check", "--omega0", "1e-320", "--delta0", "1e-320"], "omega^2 + delta^2"),
-            (["simulate", "--omega0", "1e-320", "--delta0", "0.1"], "omega^2 + omega_a^2"),
-        ]:
-            code, out, err = run(capsys, *argv, "--total-length", "10", "--sta")
-            assert code == EXIT_NUMERICAL, argv
-            assert err == f"error: {which} underflows at z=-5.0\n", argv
-            assert out == "", argv
+        # omega^2 + delta^2 is the closed form's only divisor: a subnormal
+        # omega0 and delta0 underflow it to 0, on a grid and inside the
+        # integrator (which names the segment) alike
+        for command, segment in [("check", ""), ("simulate", " on [-5.0, 0.0]")]:
+            code, out, err = run(capsys, command, "--omega0", "1e-320", "--delta0", "1e-320",
+                                 "--total-length", "10", "--sta")
+            assert code == EXIT_NUMERICAL, command
+            assert err == f"error: omega^2 + delta^2 underflows at z=-5.0{segment}\n", command
+            assert out == "", command
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--omega0", "1e-320", "--delta0", "0.1", "--samples", "3"],
+        ["simulate", "--omega0", "1e-320", "--delta0", "0.1"],
+        ["check", "--omega0", "1e-100", "--delta0", "1e-100"],
+    ], ids=["profile", "simulate", "check"])
+    def test_tiny_design_evaluates(self, argv, capsys):
+        # a design whose omega^2 + delta^2 stays above 0 has a finite schedule
+        code, out, _ = run(capsys, *argv, "--total-length", "10", "--sta")
+        assert code == EXIT_OK
+        if argv[0] == "check":
+            values = list(_numbers(json.loads(out)))
+        else:
+            values = [float(v) for row in list(csv.reader(out.splitlines()))[1:] for v in row]
+        assert values and all(math.isfinite(v) for v in values)
 
 
 def _numbers(doc):
@@ -326,6 +374,67 @@ class TestFuzz:
                           for v in row]
             else:
                 values = list(_numbers(json.loads(text)))
+            assert values and all(math.isfinite(v) for v in values), argv
+
+
+# The integrator's work grows with omega0 * length, so finite draws stay
+# small (omega0 * length <= 100); the extremes reach every boundary.
+_SMALL_NUMBER = st.one_of(
+    st.floats(0.0, 10.0).map(repr),
+    st.sampled_from(["0", "5e-324", "1e-320", "1e-300", "1e300",
+                     "1.7976931348623157e308", "nan", "inf", "abc"]),
+)
+
+
+class TestFuzzIntegrators:
+    """simulate, splitter, threshold and sweep keep the contract of
+    TestFuzz: exit 0, 2 or 3 and no traceback, exit 0 only with finite
+    output, and no RuntimeWarning.  tol >= 1e-6 and 2x2 sweep grids bound
+    the work of each example."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["simulate", "splitter", "threshold", "sweep"]),
+           _SMALL_NUMBER, _SMALL_NUMBER, _SMALL_NUMBER, st.booleans(),
+           st.sampled_from(["1e-6", "1e-4"]), st.just(2))
+    # overflowing integrations, which leaked RuntimeWarnings before failing
+    @example("simulate", "1e308", "0.1", "10", False, "1e-6", 2)
+    @example("splitter", "1e300", "0.1", "10", False, "1e-6", 2)
+    @example("threshold", "1e300", "1", "10", False, "1e-6", 2)
+    @example("sweep", "1e300", "1", "5", False, "1e-6", 2)
+    # linspace overflows computing the last sample of this axis
+    @example("sweep", "1.7976931348623157e308", "1", "5", False, "1e-6", 4)
+    def test_exit_contract(self, command, omega0, delta0, length, sta, tol, count):
+        model = [f"--tol={tol}", "--sta" if sta else "--no-sta"]
+        if command == "sweep":
+            argv = [command, f"--axis-x=omega0:0:{omega0}:{count}",
+                    f"--axis-y=delta0:0:{delta0}:2", f"--total-length={length}",
+                    "--format=json", *model]
+        else:
+            argv = [command, f"--omega0={omega0}", f"--delta0={delta0}", *model]
+            if command == "threshold":
+                # a tiny target ends the 100-length scan at the first length
+                # that transfers any light; an STA scan of a subnormal design
+                # that never does takes 100 integrations of up to 1 s each
+                argv += ["--target=1e-300", "--no-sta"]
+            else:
+                argv.append(f"--total-length={length}")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the value
+                code = exc.code
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL), argv
+        if code == EXIT_OK:
+            text = out.getvalue()
+            if command == "sweep":
+                values = list(_numbers(json.loads(text)))
+            elif command == "threshold":  # "<length> mm (metric <value>)"
+                values = [float(text.split()[0]), float(text.split()[-1].rstrip(")"))]
+            else:
+                values = [float(v) for row in list(csv.reader(text.splitlines()))[1:]
+                          for v in row]
             assert values and all(math.isfinite(v) for v in values), argv
 
 

@@ -10,11 +10,9 @@ from sta_coupler.schedules import (
     GeometryCalibration,
     ModelParams,
     SchedulePoint,
-    UndefinedAngleError,
     diagnostics,
     effective_schedule,
     geometry_synthesis,
-    mixing_angle,
     schedule_grid,
 )
 
@@ -65,30 +63,32 @@ class TestRawSchedule:
 
 
 class TestMixingAngle:
+    """theta = atan2(omega, delta) as the closed form returns it."""
+
+    @staticmethod
+    def theta(omega: float, delta: float) -> float:
+        # at z = 0, omega = omega0 and delta = +delta0 (left) or -delta0 (right)
+        p = ModelParams(omega0=omega, delta0=abs(delta), half_length=1.0)
+        return effective_schedule(p, 0.0, side=-1 if delta >= 0.0 else +1).theta
+
     def test_diagonal(self):
-        assert mixing_angle(1.0, 1.0) == pytest.approx(math.pi / 4)
+        assert self.theta(1.0, 1.0) == pytest.approx(math.pi / 4)
 
     def test_resonance(self):
-        assert mixing_angle(1.0, 0.0) == pytest.approx(math.pi / 2)
+        assert self.theta(1.0, 0.0) == pytest.approx(math.pi / 2)
 
     def test_negative_mismatch_branch(self):
-        assert mixing_angle(1.0, -1.0) == pytest.approx(3 * math.pi / 4)
-
-    def test_undefined(self):
-        with pytest.raises(UndefinedAngleError):
-            mixing_angle(0.0, 0.0)
+        assert self.theta(1.0, -1.0) == pytest.approx(3 * math.pi / 4)
 
     @given(st.floats(1e-6, 1e6), st.floats(-1e6, 1e6, allow_nan=False))
     def test_branch_range(self, omega, delta):
-        assert 0.0 < mixing_angle(omega, delta) < math.pi
+        assert 0.0 < self.theta(omega, delta) < math.pi
 
 
 def _fd_theta_dot(p: ModelParams, z: float, dz: float) -> float:
     a = effective_schedule(p, z - dz)
     b = effective_schedule(p, z + dz)
-    om1, de1 = a.omega, a.delta
-    om2, de2 = b.omega, b.delta
-    return (mixing_angle(om2, de2) - mixing_angle(om1, de1)) / (2 * dz)
+    return (math.atan2(b.omega, b.delta) - math.atan2(a.omega, a.delta)) / (2 * dz)
 
 
 class TestCdCoupling:
