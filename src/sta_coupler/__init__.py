@@ -7,6 +7,7 @@ from .schedules import (  # noqa: F401
     GeometryCalibration,
     ModelParams,
     SchedulePoint,
+    adiabatic_transport,
     diagnostics,
     drive,
     effective_schedule,

@@ -132,14 +132,18 @@ def _side_at(h: HamiltonianSpec, z: float, a: float, b: float) -> int:
     return 0
 
 
+def _check_tol(tol: float) -> None:
+    if not (1e-12 <= tol <= 1e-4):
+        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
+
+
 def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
                        z_to: float, tol: float = 1e-10) -> Trajectory:
     """Adaptive RK integration of i dc/dz = H(z) c, split at discontinuities."""
     # scipy.integrate takes about 0.6 s to import and only this backend needs it
     from scipy.integrate import solve_ivp
 
-    if not (1e-12 <= tol <= 1e-4):
-        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
+    _check_tol(tol)
     c = _check_initial_state(c0, h.dim)
 
     zs: list[np.ndarray] = []
@@ -147,7 +151,10 @@ def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
     nfev = 0
     for a, b in _segments(h, z_from, z_to):
         def rhs(z: float, y: np.ndarray, a: float = a, b: float = b) -> np.ndarray:
-            return -1j * (h.matrix(z, _side_at(h, z, a, b)) @ y)
+            # scipy's z is an np.float64, whose arithmetic raises under the
+            # errstate below where Python floats give the inf or nan that
+            # matrix() reports as a non-finite schedule
+            return -1j * (h.matrix(float(z), _side_at(h, z, a, b)) @ y)
 
         try:
             # stop at an overflow, not when the step shrinks below the spacing

@@ -32,6 +32,7 @@ __all__ = [
     "GeometryCalibration",
     "DiscontinuityError",
     "CalibrationDomainError",
+    "adiabatic_transport",
     "effective_schedule",
     "schedule_grid",
     "drive",
@@ -177,6 +178,55 @@ def _closed_form(omega0: float, delta_left: float, half_length: float,
     omega_eff = math.hypot(omega, omega_a)
     delta_eff = delta - r_dot / (2.0 * (1.0 + r * r))
     return SchedulePoint(z, omega, delta, omega_a, math.atan(r), theta, omega_eff, delta_eff)
+
+
+def _rotate(angle: float, a: complex, b: complex) -> tuple[complex, complex]:
+    c, s = math.cos(angle), math.sin(angle)
+    return c * a - s * b, s * a + c * b
+
+
+def adiabatic_transport(omega0: float, delta_left: float, half_length: float,
+                        input_guide: int = 1) -> tuple[float, float]:
+    """Final guide intensities (I1, I2) of the STA two-guide model, in
+    closed form.
+
+    The counterdiabatic term makes each half follow the instantaneous
+    eigenstates of [[delta, omega], [omega, -delta]] exactly (Berry 2009),
+    and the phase rotation to the effective schedules vanishes at z = 0 and
+    only rephases the guides at z = +-L.  So the run is: project the input
+    onto the eigenbasis at -L, apply the dynamic phase -+Phi of the left
+    half, rotate by the eigenbasis jump at the sign flip (theta_mid to
+    pi - theta_mid), apply -+Phi again and return to the guides at +L.
+    Phi = integral_0^L sqrt(omega**2 + delta**2) dz is elementary; with
+    s = sinh(2 pi), c = hypot(omega0, delta), alpha = omega0 / c and
+    beta = |delta| / c it is
+
+        (L / 2 pi) * (|delta| asinh(beta s) + omega0 atan2(alpha s, hypot(1, beta s)))
+
+    As in :func:`_closed_form`, delta_left is the signed left-half mismatch.
+    Raises FloatingPointError when Phi overflows.
+    """
+    if input_guide not in (1, 2):
+        raise ValueError(f"input_guide must be 1 or 2, got {input_guide}")
+    a, b = omega0, abs(delta_left)
+    c = math.hypot(a, b)
+    s = math.sinh(2.0 * math.pi)
+    alpha, beta = (a / c, b / c) if c else (0.0, 0.0)
+    # both angles over 2 pi are at most 1, so no product overflows unless Phi does
+    x = math.asinh(beta * s) / (2.0 * math.pi)
+    y = math.atan2(alpha * s, math.hypot(1.0, beta * s)) / (2.0 * math.pi)
+    phase = b * (half_length * x) + a * (half_length * y)
+    if not math.isfinite(phase):
+        raise FloatingPointError(f"dynamic phase overflows: {phase}")
+    theta_edge = math.atan2(omega0 / math.cosh(2.0 * math.pi), delta_left)
+    theta_mid = math.atan2(omega0, delta_left)
+    rot = complex(math.cos(phase), -math.sin(phase))  # exp(-i Phi) on the +E state
+
+    guides = (1.0, 0.0) if input_guide == 1 else (0.0, 1.0)
+    plus, minus = _rotate(-0.5 * theta_edge, *guides)
+    plus, minus = _rotate(theta_mid - 0.5 * math.pi, plus * rot, minus * rot.conjugate())
+    c1, c2 = _rotate(0.5 * (math.pi - theta_edge), plus * rot, minus * rot.conjugate())
+    return abs(c1) ** 2, abs(c2) ** 2
 
 
 def _check_position(p: ModelParams, z: float) -> None:

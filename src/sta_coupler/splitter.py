@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
-from .schedules import ModelParams, _closed_form, drive
+from .schedules import ModelParams, _closed_form, adiabatic_transport, drive
 
 __all__ = [
     "SplitterParams",
@@ -66,11 +66,24 @@ def splitter_schedule(sp: SplitterParams, z: float, side: int = 0) -> tuple[floa
     p = sp.base
     if not p.sta or sp.mode == "direct":
         return drive(p, z, side)
-    # reduced_cd: the traceless form of the bright/middle two-level system
-    # has coupling sqrt(2)*omega and mismatch -delta/2; run the CD
-    # construction there and map back.
-    cf = _closed_form(_SQRT2 * p.omega0, -0.5 * p.delta0, p.half_length, z, side)
+    # reduced_cd: run the CD construction on the bright/middle system and map back
+    cf = _closed_form(*_reduced_design(p), p.half_length, z, side)
     return cf.omega_eff / _SQRT2, -2.0 * cf.delta_eff
+
+
+def _reduced_design(p: ModelParams) -> tuple[float, float]:
+    """Coupling and left-half mismatch of the traceless form of the
+    bright/middle two-level system: sqrt(2)*omega0 and -delta0/2."""
+    return _SQRT2 * p.omega0, -0.5 * p.delta0
+
+
+def _reduced_cd_infidelity(p: ModelParams) -> float:
+    """splitting_infidelity of the STA reduced_cd splitter in closed form:
+    the middle-guide input follows the reduced system's adiabatic states
+    (see :func:`adiabatic_transport`) and its bright intensity splits
+    equally, I1 = I3 = I_bright / 2."""
+    bright, _ = adiabatic_transport(*_reduced_design(p), p.half_length, input_guide=2)
+    return abs(0.5 * bright - 0.5)
 
 
 def build_h3(sp: SplitterParams) -> HamiltonianSpec:

@@ -8,9 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupler import simulate
-from .schedules import ModelParams
-from .splitter import SplitterParams, simulate_splitter
+from .coupler import build_h2, simulate
+from .propagation import _check_tol
+from .schedules import ModelParams, adiabatic_transport
+from .splitter import SplitterParams, _reduced_cd_infidelity, build_h3, simulate_splitter
 
 __all__ = [
     "AxisSpec",
@@ -86,6 +87,7 @@ class SweepSpec:
         remaining = set(PARAMETERS) - {self.axis_x.name, self.axis_y.name}
         if set(self.fixed) != remaining:
             raise ValueError(f"fixed must provide exactly {sorted(remaining)}")
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -96,11 +98,23 @@ class SweepResult:
     backend: str
 
 
+def _closed_form_applies(metric: str, sta: bool, splitter_mode: str) -> bool:
+    """STA cells of the two-guide coupler and of the reduced_cd splitter
+    follow their adiabatic states exactly (see adiabatic_transport)."""
+    return sta and (metric == "final_i2" or splitter_mode == "reduced_cd")
+
+
 def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
                  total_length: float, tol: float = 1e-8,
                  splitter_mode: str = "reduced_cd") -> float:
     """Metric for one parameter point; degenerate points (zero coupling or
-    zero length) reduce to identity propagation of the input state."""
+    zero length) reduce to identity propagation of the input state.
+
+    STA final_i2 and STA reduced_cd splitting_infidelity are evaluated in
+    closed form (:func:`adiabatic_transport`), after the generator the
+    integrator would use is checked finite at -L, 0-, 0+ and +L; every other
+    point is integrated adaptively with tolerance tol.
+    """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if omega0 == 0.0 or total_length == 0.0:
@@ -108,10 +122,18 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
         return 0.0 if metric == "final_i2" else 0.5
     p = ModelParams(omega0=omega0, delta0=delta0,
                     half_length=total_length / 2.0, sta=sta)
+    if not _closed_form_applies(metric, sta, splitter_mode):
+        if metric == "final_i2":
+            return simulate(p, input_guide=1, tol=tol).final_i2
+        return simulate_splitter(SplitterParams(p, splitter_mode),
+                                 tol=tol).splitting_infidelity
+    L = p.half_length
+    h = build_h2(p) if metric == "final_i2" else build_h3(SplitterParams(p, splitter_mode))
+    for z, side in ((-L, 0), (0.0, -1), (0.0, +1), (L, 0)):
+        h.matrix(z, side)  # fails as the integrator would on a non-finite schedule
     if metric == "final_i2":
-        return simulate(p, input_guide=1, tol=tol).final_i2
-    return simulate_splitter(SplitterParams(p, splitter_mode),
-                             tol=tol).splitting_infidelity
+        return adiabatic_transport(omega0, delta0, L)[1]
+    return _reduced_cd_infidelity(p)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
@@ -119,7 +141,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
     Cells are independent; with workers > 1 they are farmed out to a
     thread pool but each result lands in its own grid slot, so the output
-    is bit-identical regardless of parallelism or execution order.
+    is bit-identical regardless of parallelism or execution order.  The
+    result's backend names how the cells were evaluated (see
+    :func:`metric_value`).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -143,7 +167,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         for idx in indices:
             cell(idx)
 
-    return SweepResult(grid=grid, x_values=xs, y_values=ys, backend="adaptive-dop853")
+    closed = _closed_form_applies(spec.metric, spec.sta, spec.splitter_mode)
+    return SweepResult(grid=grid, x_values=xs, y_values=ys,
+                       backend="adiabatic-closed-form" if closed else "adaptive-dop853")
 
 
 @dataclass(frozen=True)
@@ -158,10 +184,12 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     """Smallest total device length reaching the target transfer efficiency.
 
     A coarse scan stops at the first crossing (final_i2 need not be
-    monotone in length); bisection then refines it to 0.01 mm.
+    monotone in length); bisection then refines it to 0.01 mm.  Each
+    length is scored by :func:`metric_value`, so STA scans integrate nothing.
     """
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
+    _check_tol(tol)
     lo_range, hi_range = length_range
     if not 0.0 <= lo_range < hi_range < math.inf:
         raise ValueError(f"invalid search range {length_range}")

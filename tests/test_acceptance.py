@@ -240,13 +240,16 @@ def test_acceptance_7_property_suite(report):
     conserved = (np.max(np.abs(left - left[0])) <= 1e-5
                  and np.max(np.abs(right - right[-1])) <= 1e-5)
 
-    # sweep determinism: serial and parallel runs bit-identical
-    spec = SweepSpec(axis_x=AxisSpec("omega0", 0.5, 3.0, 5),
-                     axis_y=AxisSpec("delta0", 0.0, 0.5, 4),
-                     fixed={"total_length": 10.0}, metric="final_i2",
-                     sta=True, tol=1e-7)
-    deterministic = np.array_equal(run_sweep(spec, workers=1).grid,
-                                   run_sweep(spec, workers=4).grid)
+    # sweep determinism: serial and parallel runs bit-identical, for the
+    # closed-form STA cells and the integrated raw ones
+    deterministic = True
+    for sta in (True, False):
+        spec = SweepSpec(axis_x=AxisSpec("omega0", 0.5, 3.0, 5),
+                         axis_y=AxisSpec("delta0", 0.0, 0.5, 4),
+                         fixed={"total_length": 10.0}, metric="final_i2",
+                         sta=sta, tol=1e-7)
+        deterministic &= np.array_equal(run_sweep(spec, workers=1).grid,
+                                        run_sweep(spec, workers=4).grid)
 
     ok = unitary and sym and fd_ok and noop and conserved and deterministic
     report(7, "property suite", ok)

@@ -139,7 +139,7 @@ class TestSweep:
         assert doc["axes"]["x"]["name"] == "omega0"
         assert len(doc["grid"]) == 2
         assert len(doc["grid"][0]) == 3
-        assert doc["backend"] == "adaptive-dop853"
+        assert doc["backend"] == "adiabatic-closed-form"
         assert "provenance_sweep" not in doc
         assert doc["provenance"]["inputs"]["metric"] == "final_i2"
         assert doc["provenance"]["inputs"]["mode"] is None
@@ -154,6 +154,17 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert err == "error: --mode needs --metric splitting_infidelity and --sta\n"
         assert not path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        [*ARGS, "--tol", "1"],
+        # omega0 = 0: every cell is the identity and runs no backend
+        ["sweep", "--axis-x", "delta0:0:1:2", "--axis-y", "total_length:1:2:2",
+         "--omega0", "0", "--tol", "1"],
+    ], ids=["sta", "degenerate"])
+    def test_tol_checked(self, argv, capsys):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == EXIT_USAGE
+        assert err == "error: tol must lie in [1e-12, 1e-4], got 1.0\n" and out == ""
 
     def test_bad_axis_syntax(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -184,6 +195,12 @@ class TestThreshold:
         length = float(out.split()[0])
         assert 1.1 <= length <= 1.4
 
+    def test_tol_checked(self, capsys):
+        code, out, err = run(capsys, "threshold", "--omega0", "5", "--delta0", "1",
+                             "--sta", "--tol", "1")
+        assert code == EXIT_USAGE
+        assert err == "error: tol must lie in [1e-12, 1e-4], got 1.0\n" and out == ""
+
     def test_unreachable_is_numerical_failure(self, capsys):
         code, _, err = run(capsys, "threshold", "--omega0", "0.5", "--delta0", "5",
                            "--length-max", "1", "--tol", "1e-8")
@@ -212,20 +229,24 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert "samples" in err
 
-    def test_does_not_import_scipy(self, tmp_path):
-        # only the adaptive backend needs scipy, so check runs without it
-        script = (
-            "import sys\n"
-            "from sta_coupler.cli import main\n"
-            f"assert main(['check', *{MODEL!r}, '--output', {str(tmp_path / 'c.json')!r}]) == 0\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
-        )
+    def test_does_not_import_scipy(self):
+        # only the adaptive backend needs scipy, so check and the closed-form
+        # STA sweeps and threshold scans run without it
         src = str(Path(sta_coupler.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        for argv in (["check", *MODEL],
+                     [*TestSweep.ARGS, "--metric", "splitting_infidelity", "--format", "json"],
+                     ["threshold", "--omega0", "5", "--delta0", "1", "--sta", "--target", "0.9"]):
+            script = (
+                "import sys\n"
+                "from sta_coupler.cli import main\n"
+                f"assert main({argv!r}) == 0\n"
+                "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, (argv, proc.stderr)
 
 
 class TestRemovedOptions:
@@ -280,7 +301,12 @@ class TestNonFiniteSchedule:
         ["simulate", "--omega0", "1.5", "--delta0", "0.1", "--total-length", "1e-300", "--sta"],
         ["splitter", "--omega0", "1e200", "--delta0", "0.1", "--total-length", "10", "--sta"],
         ["threshold", "--omega0", "1.5", "--delta0", "0.1", "--length-max", "1e-300", "--sta"],
-    ], ids=["simulate-omega0", "simulate-length", "splitter", "threshold"])
+        # k = 2*pi/L overflows, so u = k*z is inf*0 = nan at z = 0
+        ["simulate", "--omega0", "1", "--delta0", "1", "--total-length", "1e-320", "--no-sta"],
+        ["sweep", "--axis-x", "omega0:0:1:2", "--axis-y", "delta0:0:1:2",
+         "--total-length", "1e-320", "--no-sta", "--format", "json"],
+    ], ids=["simulate-omega0", "simulate-length", "splitter", "threshold",
+            "simulate-raw-length", "sweep-raw-length"])
     def test_generator(self, argv, capsys):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_NUMERICAL
@@ -402,6 +428,9 @@ class TestFuzzIntegrators:
     @example("splitter", "1e300", "0.1", "10", False, "1e-6", 2)
     @example("threshold", "1e300", "1", "10", False, "1e-6", 2)
     @example("sweep", "1e300", "1", "5", False, "1e-6", 2)
+    # a subnormal STA design: 100 integrations of up to 1 s each before the
+    # scan ran in closed form
+    @example("threshold", "1e-320", "5.57e-144", "10", True, "1e-4", 2)
     # linspace overflows computing the last sample of this axis
     @example("sweep", "1.7976931348623157e308", "1", "5", False, "1e-6", 4)
     def test_exit_contract(self, command, omega0, delta0, length, sta, tol, count):
@@ -414,9 +443,8 @@ class TestFuzzIntegrators:
             argv = [command, f"--omega0={omega0}", f"--delta0={delta0}", *model]
             if command == "threshold":
                 # a tiny target ends the 100-length scan at the first length
-                # that transfers any light; an STA scan of a subnormal design
-                # that never does takes 100 integrations of up to 1 s each
-                argv += ["--target=1e-300", "--no-sta"]
+                # that transfers any light (an STA scan runs in closed form)
+                argv.append("--target=1e-300")
             else:
                 argv.append(f"--total-length={length}")
         out = io.StringIO()

@@ -11,7 +11,7 @@ from sta_coupler.propagation import (
     propagate_adaptive,
     propagate_pwc,
 )
-from sta_coupler.schedules import ModelParams
+from sta_coupler.schedules import ModelParams, drive, effective_schedule
 
 UP = np.array([1.0, 0.0], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]])
@@ -216,6 +216,20 @@ class TestInvariants:
         a = propagate_adaptive(base, UP, -12.5, 12.5, 1e-11).final_state
         b = propagate_adaptive(refined, UP, -12.5, 12.5, 1e-11).final_state
         assert np.max(np.abs(a - b)) < 1e-8
+
+    def test_schedule_sees_python_floats(self):
+        # so that the schedule's own arithmetic, not numpy's, meets a
+        # non-finite value and matrix() reports it
+        p = ModelParams(1.5, 0.1, 2.0, sta=True)
+        seen = []
+
+        def coefficients(z, side):
+            seen.append(effective_schedule(p, z, side).z)
+            return drive(p, z, side)
+
+        h = HamiltonianSpec(build_h2(p).terms, coefficients, discontinuities=(0.0,))
+        propagate_adaptive(h, UP, -2.0, 2.0, 1e-6)
+        assert seen and {type(z) for z in seen} == {float}
 
     def test_stats_recorded(self):
         h = build_h2(FIG3)

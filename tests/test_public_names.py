@@ -14,7 +14,8 @@ PACKAGE = [
     "AxisSpec", "CouplerResult", "Diagnostics", "GeometryCalibration",
     "HamiltonianSpec", "ModelParams", "SchedulePoint", "SplitterParams",
     "SplitterResult", "SweepResult", "SweepSpec", "TargetNotReached",
-    "ThresholdResult", "Trajectory", "adiabatic_projection", "build_h2",
+    "ThresholdResult", "Trajectory", "adiabatic_projection", "adiabatic_transport",
+    "build_h2",
     "build_h3", "diagnostics", "drive", "effective_schedule",
     "geometry_synthesis", "propagate_adaptive", "propagate_pwc",
     "reduce_bright_dark", "robust_region_fraction", "run_sweep",
@@ -29,7 +30,7 @@ MODULES = {
                     "propagate_adaptive", "propagate_pwc"],
     "schedules": ["CalibrationDomainError", "Diagnostics", "DiscontinuityError",
                   "GeometryCalibration", "ModelParams", "SchedulePoint",
-                  "diagnostics", "drive", "effective_schedule",
+                  "adiabatic_transport", "diagnostics", "drive", "effective_schedule",
                   "geometry_synthesis", "schedule_grid"],
     "serialize": ["format_float", "write_csv", "write_json"],
     "splitter": ["SplitterParams", "SplitterResult", "build_h3",

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import adiabatic_oracle as oracle
 from sta_coupler.schedules import (
     CalibrationDomainError,
     DiscontinuityError,
     GeometryCalibration,
     ModelParams,
     SchedulePoint,
+    adiabatic_transport,
     diagnostics,
     effective_schedule,
     geometry_synthesis,
@@ -205,6 +207,43 @@ class TestScheduleGrid:
     def test_diagnostics_non_finite_schedule(self):
         with pytest.raises(FloatingPointError, match="non-finite schedule"):
             diagnostics(ModelParams(1e200, 1e200, 5.0, sta=True), 11)
+
+
+def _designs(count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield (float(rng.uniform(0.01, 10.0)), float(rng.uniform(-5.0, 5.0)),
+               float(rng.uniform(0.01, 30.0)))
+
+
+class TestAdiabaticTransport:
+    """The closed form against the test oracle, which integrates the same
+    dynamic phase with quad and imports nothing from the package."""
+
+    @pytest.mark.parametrize("guide", [1, 2])
+    def test_matches_oracle(self, guide):
+        designs = [(1.5, 0.0, 12.5), (5.0, 0.0, 0.35), *_designs(150, seed=11)]
+        for omega0, delta_left, L in designs:
+            got = adiabatic_transport(omega0, delta_left, L, guide)
+            want = oracle.sta_intensities(omega0, delta_left, L, guide)
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-12, (omega0, delta_left, L)
+
+    def test_reference_transfer(self):
+        assert adiabatic_transport(1.5, 0.1, 12.5)[1] == pytest.approx(0.998770820857, abs=1e-12)
+
+    def test_conserves_power(self):
+        for omega0, delta_left, L in _designs(100, seed=13):
+            assert abs(sum(adiabatic_transport(omega0, delta_left, L)) - 1.0) <= 1e-14
+
+    def test_phase_overflow_is_numerical_failure(self):
+        # Phi is about L * |delta| = 1e310; math.cos(inf) would raise
+        # ValueError, which the CLI would take for a usage error
+        with pytest.raises(FloatingPointError, match="dynamic phase overflows"):
+            adiabatic_transport(1.0, 1e300, 1e10)
+
+    def test_input_guide_checked(self):
+        with pytest.raises(ValueError, match="input_guide"):
+            adiabatic_transport(1.0, 0.1, 1.0, input_guide=3)
 
 
 class TestDiagnostics:
