@@ -99,6 +99,17 @@ def _reduced_cd_infidelity(omega0, delta0, total_length):
 
 
 class TestMetricValue:
+    def test_matches_direct_simulation(self):
+        # a raw cell is the simulation itself; an STA cell is the closed form,
+        # which a tight integration reproduces
+        for sta in (False, True):
+            p = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=sta)
+            value = metric_value("final_i2", sta, 1.5, 0.1, 25.0)
+            if sta:
+                assert abs(value - simulate(p, tol=1e-10).final_i2) <= 1e-8
+            else:
+                assert value == simulate(p, tol=1e-8).final_i2
+
     @pytest.mark.parametrize("design", DESIGNS)
     def test_sta_is_closed_form(self, design):
         omega0, delta0, total = design
