@@ -70,12 +70,16 @@ class HamiltonianSpec:
         f = self.coefficients(z, side)
         if len(f) != len(self.terms):
             raise ValueError(f"coefficients gave {len(f)} values for {len(self.terms)} terms")
-        s = sum(f)  # complex if any coefficient is, nan or inf if any is not finite
-        if isinstance(s, complex):
-            raise ValueError(f"coefficients must be real, got {f!r} at z={z}")
-        if not math.isfinite(s):
-            raise FloatingPointError(f"non-finite coefficients {f!r} at z={z}")
+        _check_coefficients(f, z)
         return np.dot(f, self._flat).reshape(self.terms[0].shape)
+
+
+def _check_coefficients(f: Sequence[float], z: float) -> None:
+    s = sum(f)  # complex if any coefficient is, nan or inf if any is not finite
+    if isinstance(s, complex):
+        raise ValueError(f"coefficients must be real, got {f!r} at z={z}")
+    if not math.isfinite(s):
+        raise FloatingPointError(f"non-finite coefficients {f!r} at z={z}")
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .coupler import build_h2, simulate
-from .propagation import _check_tol
-from .schedules import ModelParams, adiabatic_transport
-from .splitter import SplitterParams, _reduced_cd_infidelity, build_h3, simulate_splitter
+from .coupler import simulate
+from .propagation import _check_coefficients, _check_tol
+from .schedules import ModelParams, adiabatic_transport, drive
+from .splitter import SplitterParams, _reduced_design, simulate_splitter, splitter_schedule
 
 __all__ = [
     "AxisSpec",
@@ -111,8 +112,8 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     zero length) reduce to identity propagation of the input state.
 
     STA final_i2 and STA reduced_cd splitting_infidelity are evaluated in
-    closed form (:func:`adiabatic_transport`), after the generator the
-    integrator would use is checked finite at -L, 0-, 0+ and +L; every other
+    closed form (:func:`adiabatic_transport`), after the integrator's
+    coefficients are checked finite at -L, 0-, 0+ and +L; every other
     point is integrated adaptively with tolerance tol.
     """
     if metric not in METRICS:
@@ -127,13 +128,15 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
             return simulate(p, input_guide=1, tol=tol).final_i2
         return simulate_splitter(SplitterParams(p, splitter_mode),
                                  tol=tol).splitting_infidelity
-    L = p.half_length
-    h = build_h2(p) if metric == "final_i2" else build_h3(SplitterParams(p, splitter_mode))
-    for z, side in ((-L, 0), (0.0, -1), (0.0, +1), (L, 0)):
-        h.matrix(z, side)  # fails as the integrator would on a non-finite schedule
     if metric == "final_i2":
-        return adiabatic_transport(omega0, delta0, L)[1]
-    return _reduced_cd_infidelity(p)
+        coefficients, design = partial(drive, p), (omega0, delta0)
+    else:
+        coefficients, design = partial(splitter_schedule, SplitterParams(p)), _reduced_design(p)
+    L = p.half_length
+    for z, side in ((-L, 0), (0.0, -1), (0.0, +1), (L, 0)):
+        _check_coefficients(coefficients(z, side), z)  # fails as the integrator would
+    transfer = adiabatic_transport(*design, L)[1]
+    return transfer if metric == "final_i2" else abs(0.5 * transfer - 0.5)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:

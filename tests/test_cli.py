@@ -313,6 +313,19 @@ class TestNonFiniteSchedule:
         assert "non-finite coefficients" in err
 
     @pytest.mark.parametrize("argv", [
+        ["sweep", "--axis-x", "omega0:1e99:1e100:2", "--axis-y", "delta0:0.1:1:2",
+         "--total-length", "10", "--sta", "--format", "json"],
+        ["threshold", "--omega0", "1e100", "--delta0", "0.1", "--sta", "--target", "0.5",
+         "--length-min", "1", "--length-max", "10"],
+    ], ids=["sweep", "threshold"])
+    def test_dynamic_phase_bound(self, argv, capsys):
+        # a finite schedule, but a dynamic phase whose rounding error passes tol
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("error: dynamic phase overflows its bound 9.0e11: Phi=")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
         ["check", "--omega0", "1e200", "--delta0", "1e200", "--total-length", "10", "--sta"],
         ["profile", "--omega0", "1.5", "--delta0", "0.1", "--total-length", "1e-320",
          "--sta", "--samples", "3"],

@@ -220,12 +220,13 @@ class TestAdiabaticTransport:
     """The closed form against the test oracle, which integrates the same
     dynamic phase with quad and imports nothing from the package."""
 
-    @pytest.mark.parametrize("guide", [1, 2])
-    def test_matches_oracle(self, guide):
-        designs = [(1.5, 0.0, 12.5), (5.0, 0.0, 0.35), *_designs(150, seed=11)]
+    def test_matches_oracle(self):
+        # _designs draws the mismatch from both signs
+        designs = [(1.5, 0.0, 12.5), (5.0, 0.0, 0.35), (1.5, 0.1, 12.5), (1.5, -0.1, 12.5),
+                   *_designs(150, seed=11)]
         for omega0, delta_left, L in designs:
-            got = adiabatic_transport(omega0, delta_left, L, guide)
-            want = oracle.sta_intensities(omega0, delta_left, L, guide)
+            got = adiabatic_transport(omega0, delta_left, L)
+            want = oracle.sta_intensities(omega0, delta_left, L)
             assert np.max(np.abs(np.array(got) - want)) <= 1e-12, (omega0, delta_left, L)
 
     def test_reference_transfer(self):
@@ -241,9 +242,15 @@ class TestAdiabaticTransport:
         with pytest.raises(FloatingPointError, match="dynamic phase overflows"):
             adiabatic_transport(1.0, 1e300, 1e10)
 
-    def test_input_guide_checked(self):
-        with pytest.raises(ValueError, match="input_guide"):
-            adiabatic_transport(1.0, 0.1, 1.0, input_guide=3)
+    def test_phase_bound(self):
+        # Phi = omega0 * L * gd(2 pi) / (2 pi), about 1.25e100 here, is finite,
+        # but its rounding error dwarfs 2 pi
+        with pytest.raises(FloatingPointError, match=r"bound 9\.0e11: Phi=1\.2\d*e\+100$"):
+            adiabatic_transport(1e100, 0.1, 5.0)
+        # the bound 1e-4 / 2**-53 = 9.007e11 keeps that error within tol 1e-4
+        assert sum(adiabatic_transport(1.0, 0.0, 3.6e12)) == pytest.approx(1.0)  # Phi 8.979e11
+        with pytest.raises(FloatingPointError, match="dynamic phase overflows its bound"):
+            adiabatic_transport(1.0, 0.0, 3.62e12)  # Phi 9.028e11
 
 
 class TestDiagnostics:

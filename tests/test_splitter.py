@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sta_coupler.propagation import propagate_adaptive
 from sta_coupler.schedules import ModelParams, effective_schedule
 from sta_coupler.splitter import (
     SplitterParams,
@@ -45,6 +46,26 @@ class TestConstruction:
         assert np.array_equal(build_h3(sp).matrix(-5.0), [[0, w, 0], [w, d, w], [0, w, 0]])
         rw = math.sqrt(2.0) * w
         assert np.array_equal(build_reduced_h2(sp).matrix(-5.0), [[0, rw], [rw, d]])
+
+    @pytest.mark.parametrize("z, side", [(-12.5, 0), (-7.3, 0), (0.0, -1), (0.0, +1), (4.1, 0),
+                                         (12.5, 0)])
+    def test_reduced_cd_is_reduced_effective_schedule(self, z, side):
+        # the CD construction on the (middle, bright) system, whose traceless
+        # form has coupling sqrt(2)*omega0 and left-half mismatch delta0/2
+        reduced = ModelParams(math.sqrt(2.0) * BASE.omega0, 0.5 * BASE.delta0,
+                              BASE.half_length, sta=True)
+        pt = effective_schedule(reduced, z, side)
+        w, d = splitter_schedule(SplitterParams(BASE, "reduced_cd"), z, side)
+        assert (w, d) == (pt.omega_eff / math.sqrt(2.0), 2.0 * pt.delta_eff)
+
+    @pytest.mark.parametrize("mode", ["direct", "reduced_cd"])
+    def test_position_checked(self, mode):
+        sp = SplitterParams(ModelParams(1.5, 0.1, 5.0, sta=True), mode)
+        with pytest.raises(ValueError, match="outside the device"):
+            splitter_schedule(sp, 100.0)
+        with pytest.raises(ValueError, match="outside the device"):
+            propagate_adaptive(build_h3(sp), np.array([0.0, 1.0, 0.0], dtype=complex),
+                               -10.0, 10.0)
 
     def test_raw_schedule_passthrough(self):
         sp = SplitterParams(BASE_RAW)

@@ -6,6 +6,7 @@ import pytest
 
 import adiabatic_oracle as oracle
 from sta_coupler.coupler import build_h2, simulate
+from sta_coupler.propagation import HamiltonianSpec
 from sta_coupler.schedules import ModelParams, adiabatic_transport
 from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter
 from sta_coupler.sweep import (
@@ -93,8 +94,8 @@ DESIGNS = [(1.5, 0.1, 25.0), (1.5, 0.0, 25.0), *SEEDED]  # (omega0, delta0, tota
 
 
 def _reduced_cd_infidelity(omega0, delta0, total_length):
-    bright, _ = adiabatic_transport(math.sqrt(2.0) * omega0, -0.5 * delta0,
-                                    total_length / 2.0, input_guide=2)
+    # the (middle, bright) system: middle-guide input is its guide 1
+    _, bright = adiabatic_transport(math.sqrt(2.0) * omega0, 0.5 * delta0, total_length / 2.0)
     return abs(0.5 * bright - 0.5)
 
 
@@ -161,6 +162,26 @@ class TestClosedFormGuard:
             metric_value(metric, True, 1.5, 0.1, 2e-300)
         with pytest.raises(FloatingPointError, match=r"omega\^2 \+ delta\^2 underflows"):
             metric_value(metric, True, 1e-320, 1e-320, 10.0)
+
+    def test_builds_no_generator(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a closed-form cell built a generator")
+
+        monkeypatch.setattr(HamiltonianSpec, "__post_init__", refuse)
+        for design in DESIGNS[:3]:
+            omega0, delta0, total = design
+            assert (metric_value("final_i2", True, *design)
+                    == adiabatic_transport(omega0, delta0, total / 2.0)[1])
+            assert metric_value("splitting_infidelity", True, *design) == _reduced_cd_infidelity(*design)
+        for metric in ("final_i2", "splitting_infidelity"):
+            self.test_integrator_messages(metric)
+
+    @pytest.mark.parametrize("metric", ["final_i2", "splitting_infidelity"])
+    def test_phase_bound(self, metric):
+        # the guard passes (omega0**2 = 1e200 is finite), but Phi is about
+        # 1.25e100, where cos(Phi) carries no information
+        with pytest.raises(FloatingPointError, match="dynamic phase overflows its bound"):
+            metric_value(metric, True, 1e100, 0.1, 10.0)
 
     @pytest.mark.parametrize("metric,top", [("final_i2", 1.0), ("splitting_infidelity", 0.5)])
     def test_lattice(self, metric, top):
