@@ -2,10 +2,11 @@
 
 Two independent integrators are provided and used as mutual oracles:
 
-* :func:`propagate_adaptive` -- adaptive embedded Runge-Kutta (DOP853)
-  with the integration hard-split at every listed discontinuity, so no
-  step straddles the sign-flip point.  The norm is never renormalized;
-  its drift is a quality diagnostic.
+* :func:`propagate_adaptive` -- adaptive embedded Runge-Kutta (DOP853, a
+  numpy port of scipy's ``solve_ivp`` that takes the same steps) with the
+  integration hard-split at every listed discontinuity, so no step
+  straddles the sign-flip point.  The norm is never renormalized; its
+  drift is a quality diagnostic.
 * :func:`propagate_pwc` -- product of exact unitary exponentials of H
   frozen at cell midpoints.  Exactly norm-preserving up to roundoff and
   second-order accurate in the step size.
@@ -112,7 +113,7 @@ def _check_initial_state(c0: np.ndarray, dim: int) -> np.ndarray:
     c0 = np.asarray(c0, dtype=complex)
     if c0.shape != (dim,):
         raise ValueError(f"initial state must have shape ({dim},)")
-    if abs(np.vdot(c0, c0).real - 1.0) > 1e-9:
+    if not abs(np.vdot(c0, c0).real - 1.0) <= 1e-9:  # nan too
         raise ValueError("initial state is not normalized")
     return c0
 
@@ -141,12 +142,163 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
 
 
+# Dormand-Prince 8(5,3) tableau as published with DOP853 (Hairer, Norsett &
+# Wanner, Solving Ordinary Differential Equations I, Sec. II.10, and their
+# dop853.f): the nonzero entries of stage rows 1-11 of A by column, then B.
+_A_ROWS: tuple[dict[int, float], ...] = (
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+)
+_A = np.array([[row.get(j, 0.0) for j in range(12)] for row in ({}, *_A_ROWS)])
+_B = _A[12]
+_C = np.array([
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0])
+# error estimators on the 12 stages and f(z + h): the 5th-order one, and B
+# minus the 3rd-order weights
+_E5 = np.zeros(13)
+_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
+_E3 = np.zeros(13)
+_E3[:-1] = _B
+_E3[0] -= 0.244094488188976377952755905512
+_E3[8] -= 0.733846688281611857341361741547
+_E3[11] -= 0.220588235294117647058823529412e-1
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853(fun: Callable[[float, np.ndarray], np.ndarray], a: float, b: float,
+            y0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Accepted z, states and RHS count of DOP853 on [a, b], a < b.
+
+    A step-for-step port of scipy's
+    ``solve_ivp(fun, (a, b), y0, method="DOP853", rtol=tol, atol=tol)``:
+    the same numpy operations in the same order, so the same bits.
+    """
+    nfev = 0
+
+    def f(t: float, y: np.ndarray) -> np.ndarray:
+        nonlocal nfev
+        nfev += 1
+        return np.asarray(fun(t, y), dtype=complex)
+
+    t0, t_bound = float(a), float(b)
+    # +1 as an np.float64: it makes the step arithmetic numpy's, which raises
+    # on overflow under np.errstate where Python floats would not
+    direction = np.sign(t_bound - t0)
+    t, y = t0, y0
+    fy = f(t, y)
+
+    # initial step (Hairer, Norsett & Wanner, Sec. II.4)
+    interval_length = abs(t_bound - t0)
+    scale = tol + np.abs(y) * tol
+    d0 = _rms(y / scale)
+    d1 = _rms(fy / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = f(t0 + h0 * direction, y + h0 * direction * fy)
+    d2 = _rms((f1 - fy) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
+    h_abs = min(100 * h0, h1, interval_length)
+
+    ts, ys = [t], [y]
+    K = np.empty((13, y.size), dtype=complex)
+    while direction * (t - t_bound) < 0:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(f"integration failed on [{a}, {b}]: Required step "
+                                     "size is less than spacing between numbers.")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            K[0] = fy
+            for s in range(1, 12):
+                dy = np.dot(K[:s].T, _A[s, :s]) * h
+                K[s] = f(t + _C[s] * h, y + dy)
+            y_new = y + h * np.dot(K[:-1].T, _B)
+            f_new = f(t + h, y_new)
+            K[-1] = f_new
+
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+            err5_norm_2 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
+            err3_norm_2 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+            if err5_norm_2 == 0 and err3_norm_2 == 0:
+                error_norm = 0.0
+            else:
+                denom = err5_norm_2 + 0.01 * err3_norm_2
+                error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        t, y, fy = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+    return np.array(ts), np.array(ys), nfev
+
+
 def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
                        z_to: float, tol: float = 1e-10) -> Trajectory:
     """Adaptive RK integration of i dc/dz = H(z) c, split at discontinuities."""
-    # scipy.integrate takes about 0.6 s to import and only this backend needs it
-    from scipy.integrate import solve_ivp
-
     _check_tol(tol)
     c = _check_initial_state(c0, h.dim)
 
@@ -155,22 +307,18 @@ def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
     nfev = 0
     for a, b in _segments(h, z_from, z_to):
         def rhs(z: float, y: np.ndarray, a: float = a, b: float = b) -> np.ndarray:
-            # scipy's z is an np.float64, whose arithmetic raises under the
-            # errstate below where Python floats give the inf or nan that
-            # matrix() reports as a non-finite schedule
+            # the integrator's z is an np.float64, whose arithmetic raises
+            # under the errstate below where Python floats give the inf or
+            # nan that matrix() reports as a non-finite schedule
             return -1j * (h.matrix(float(z), _side_at(h, z, a, b)) @ y)
 
         try:
             # stop at an overflow, not when the step shrinks below the spacing
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                sol = solve_ivp(rhs, (a, b), c, method="DOP853", rtol=tol, atol=tol)
+                seg_z, seg_states, seg_nfev = _dop853(rhs, a, b, c, tol)
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} on [{a}, {b}]") from exc
-        if not sol.success:
-            raise StiffnessError(f"integration failed on [{a}, {b}]: {sol.message}")
-        nfev += sol.nfev
-        seg_z = sol.t
-        seg_states = sol.y.T
+        nfev += seg_nfev
         if zs:  # drop the duplicated segment boundary
             seg_z = seg_z[1:]
             seg_states = seg_states[1:]

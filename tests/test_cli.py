@@ -229,24 +229,48 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert "samples" in err
 
-    def test_does_not_import_scipy(self):
-        # only the adaptive backend needs scipy, so check and the closed-form
-        # STA sweeps and threshold scans run without it
+    def test_does_not_import_scipy(self, tmp_path):
+        # the integrator is in-package, so no command needs scipy: one
+        # interpreter runs every command of the cli_session benchmark workload
         src = str(Path(sta_coupler.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        for argv in (["check", *MODEL],
-                     [*TestSweep.ARGS, "--metric", "splitting_infidelity", "--format", "json"],
-                     ["threshold", "--omega0", "5", "--delta0", "1", "--sta", "--target", "0.9"]):
-            script = (
-                "import sys\n"
-                "from sta_coupler.cli import main\n"
-                f"assert main({argv!r}) == 0\n"
-                "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
-            )
-            proc = subprocess.run([sys.executable, "-c", script], env=env,
-                                  capture_output=True, text=True, timeout=60)
-            assert proc.returncode == 0, (argv, proc.stderr)
+        sweep_config = tmp_path / "sweep.json"
+        sweep_config.write_text(json.dumps({"sweep": {
+            "axis_x": "omega0:0:5:4", "axis_y": "delta0:0:5:4", "total_length": 10.0,
+            "sta": True, "tol": 1e-6, "metric": "final_i2"}}))
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text(json.dumps({"simulate": {"omega0": 1.5, "steps": 100}}))
+        acc = ["--omega0", "5", "--delta0", "1", "--tol", "1e-8"]
+        commands = [
+            (["simulate", *MODEL, "--sta", "--output", str(tmp_path / "s.csv")], EXIT_OK),
+            (["profile", *MODEL, "--sta", "--samples", "400", "--output",
+              str(tmp_path / "p.csv")], EXIT_OK),
+            (["check", *MODEL], EXIT_OK),
+            (["splitter", *MODEL, "--sta", "--mode", "reduced_cd", "--format", "json"], EXIT_OK),
+            (["sweep", "--config", str(sweep_config), "--format", "json"], EXIT_OK),
+            (["sweep", "--axis-x", "omega0:0:5:4", "--axis-y", "delta0:0:5:4",
+              "--total-length", "10", "--no-sta", "--tol", "1e-6", "--output",
+              str(tmp_path / "w.csv")], EXIT_OK),
+            ([*TestSweep.ARGS, "--metric", "splitting_infidelity", "--format", "json"], EXIT_OK),
+            (["threshold", *acc, "--no-sta", "--target", "0.99"], EXIT_OK),
+            (["threshold", "--omega0", "5", "--delta0", "1", "--sta", "--target", "0.9"], EXIT_OK),
+            (["threshold", *acc, "--sta", "--target", "0.99"], EXIT_NUMERICAL),
+            (["simulate", "--config", str(bad_config)], EXIT_USAGE),
+        ]
+        script = (
+            "import contextlib, io, sys\n"
+            "from sta_coupler.cli import main\n"
+            f"for argv, code in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        got = main(argv)\n"
+            "    assert got == code, (argv, got)\n"
+            "    assert 'scipy' not in sys.modules, ('scipy was imported', argv)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRemovedOptions:

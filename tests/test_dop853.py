@@ -1,0 +1,102 @@
+"""The in-package DOP853 is scipy's solve_ivp(method="DOP853"), step for step.
+
+scipy is a test dependency only: these tests run the reference integrator
+per segment, as propagate_adaptive splits the run, and require the same
+bits, not agreement within tol.
+"""
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
+
+from sta_coupler import propagation
+from sta_coupler.coupler import build_h2
+from sta_coupler.propagation import (
+    HamiltonianSpec,
+    StiffnessError,
+    _segments,
+    _side_at,
+    propagate_adaptive,
+)
+from sta_coupler.schedules import ModelParams
+from sta_coupler.splitter import SplitterParams, build_h3, build_reduced_h2
+
+DESIGN = ModelParams(3.0, 0.2, 5.0, sta=True)
+RAW = ModelParams(3.0, 0.2, 5.0, sta=False)
+GUIDE_1 = np.array([1.0, 0.0], dtype=complex)
+GUIDE_2 = np.array([0.0, 1.0], dtype=complex)
+MIDDLE = np.array([0.0, 1.0, 0.0], dtype=complex)
+CASES = {
+    "h2-sta-guide1": (build_h2(DESIGN), GUIDE_1),
+    "h2-sta-guide2": (build_h2(DESIGN), GUIDE_2),
+    "h2-raw-guide1": (build_h2(RAW), GUIDE_1),
+    "h2-raw-guide2": (build_h2(RAW), GUIDE_2),
+    "h3-direct": (build_h3(SplitterParams(DESIGN, "direct")), MIDDLE),
+    "h3-reduced_cd": (build_h3(SplitterParams(DESIGN, "reduced_cd")), MIDDLE),
+    "reduced-h2": (build_reduced_h2(SplitterParams(DESIGN, "reduced_cd")), GUIDE_2),
+}
+
+
+def reference(h, c0, z_from, z_to, tol):
+    """propagate_adaptive's loop with solve_ivp as the integrator."""
+    c = c0
+    zs, states, nfev = [], [], 0
+    for a, b in _segments(h, z_from, z_to):
+        def rhs(z, y, a=a, b=b):
+            return -1j * (h.matrix(float(z), _side_at(h, z, a, b)) @ y)
+
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = solve_ivp(rhs, (a, b), c, method="DOP853", rtol=tol, atol=tol)
+        assert sol.success, sol.message
+        nfev += sol.nfev
+        z, y = (sol.t, sol.y.T) if not zs else (sol.t[1:], sol.y.T[1:])
+        zs.append(z)
+        states.append(y)
+        c = states[-1][-1]
+    return np.concatenate(zs), np.concatenate(states), nfev
+
+
+def test_tableau_is_scipys():
+    n = scipy_tableau.N_STAGES
+    pairs = [(propagation._A[:n], scipy_tableau.A[:n, :n]), (propagation._B, scipy_tableau.B),
+             (propagation._C, scipy_tableau.C[:n]), (propagation._E3, scipy_tableau.E3),
+             (propagation._E5, scipy_tableau.E5)]
+    for ours, theirs in pairs:
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-4])
+@pytest.mark.parametrize("case", list(CASES))
+def test_matches_solve_ivp(case, tol):
+    h, c0 = CASES[case]
+    L = DESIGN.half_length
+    traj = propagate_adaptive(h, c0, -L, L, tol)
+    z, states, nfev = reference(h, c0, -L, L, tol)
+    assert traj.z.dtype == z.dtype and traj.z.tobytes() == z.tobytes()
+    assert traj.states.dtype == states.dtype and traj.states.tobytes() == states.tobytes()
+    assert traj.stats["nfev"] == nfev
+
+
+def test_step_underflow_matches_scipy():
+    # 10 /mm needs steps below 1 mm, where the spacing of floats is 2 mm
+    h = HamiltonianSpec((np.array([[0, 1], [1, 0]]),), lambda z, side: (10.0,))
+    a, b = 1e16, 1e16 + 1000
+    with pytest.raises(StiffnessError) as exc:
+        propagate_adaptive(h, GUIDE_1, a, b, 1e-8)
+    sol = solve_ivp(lambda z, y: -1j * (h.matrix(float(z)) @ y), (a, b), GUIDE_1,
+                    method="DOP853", rtol=1e-8, atol=1e-8)
+    assert not sol.success
+    assert str(exc.value) == f"integration failed on [{a}, {b}]: {sol.message}"
+    assert sol.message == "Required step size is less than spacing between numbers."
+
+
+def test_overflow_matches_scipy():
+    h = build_h2(ModelParams(1e308, 0.1, 5.0, sta=False))
+    with pytest.raises(FloatingPointError) as ours:
+        propagate_adaptive(h, GUIDE_1, -5.0, 5.0, 1e-6)
+    with pytest.raises(FloatingPointError) as theirs:
+        reference(h, GUIDE_1, -5.0, 5.0, 1e-6)
+    assert str(ours.value) == f"{theirs.value} on [-5.0, 0.0]"
+

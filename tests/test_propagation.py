@@ -32,8 +32,11 @@ class TestValidation:
             HamiltonianSpec((np.array([[0, 1], [2, 0]]),), lambda z, s: (1.0,))
 
     def test_unnormalized_state_rejected(self):
-        with pytest.raises(ValueError):
-            propagate_adaptive(constant_h2(0, 1), np.array([1.0, 1.0]), 0, 1)
+        for state in ([1.0, 1.0], [math.nan, 0.0], [math.inf, 0.0]):
+            with pytest.raises(ValueError, match="not normalized"):
+                propagate_adaptive(constant_h2(0, 1), np.array(state), 0, 1)
+            with pytest.raises(ValueError, match="not normalized"):
+                propagate_pwc(constant_h2(0, 1), np.array(state), 0, 1, 10)
 
     def test_tol_range(self):
         for tol in (1e-13, 1e-3):
