@@ -25,7 +25,6 @@ from .splitter import (  # noqa: F401
     SplitterParams,
     SplitterResult,
     build_h3,
-    reduce_bright_dark,
     simulate_splitter,
 )
 from .sweep import (  # noqa: F401

@@ -29,7 +29,6 @@ __all__ = [
     "SplitterParams",
     "SplitterResult",
     "build_h3",
-    "reduce_bright_dark",
     "simulate_splitter",
 ]
 
@@ -39,8 +38,6 @@ MODES = ("direct", "reduced_cd")
 # Constant terms of the generators; W and D from splitter_schedule weight them.
 _OUTER_COUPLINGS = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 _MIDDLE_MISMATCH = np.diag([0.0, 1.0, 0.0])
-_REDUCED_COUPLING = np.array([[0.0, _SQRT2], [_SQRT2, 0.0]])
-_REDUCED_MISMATCH = np.diag([0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -58,7 +55,6 @@ class SplitterResult:
     trajectory: Trajectory
     final_intensities: tuple[float, float, float]
     splitting_infidelity: float
-    reduction_residual: float
 
 
 def splitter_schedule(sp: SplitterParams, z: float, side: int = 0) -> tuple[float, float]:
@@ -86,44 +82,14 @@ def build_h3(sp: SplitterParams) -> HamiltonianSpec:
                            partial(splitter_schedule, sp), discontinuities=(0.0,))
 
 
-def build_reduced_h2(sp: SplitterParams) -> HamiltonianSpec:
-    """Two-level generator [[0, sqrt(2) W], [sqrt(2) W, D]] of the
-    (bright, middle) subsystem."""
-    return HamiltonianSpec((_REDUCED_COUPLING, _REDUCED_MISMATCH),
-                           partial(splitter_schedule, sp), discontinuities=(0.0,))
-
-
-def reduce_bright_dark(c: np.ndarray) -> tuple[complex, complex, complex]:
-    """Map (c1, c2, c3) to the bright / middle / dark amplitudes."""
-    c = np.asarray(c)
-    if c.shape != (3,):
-        raise ValueError("expected a length-3 amplitude vector")
-    bright = (c[0] + c[2]) / _SQRT2
-    dark = (c[0] - c[2]) / _SQRT2
-    return bright, c[1], dark
-
-
 def simulate_splitter(sp: SplitterParams, tol: float = 1e-10) -> SplitterResult:
-    """Propagate middle-guide input and score the 50/50 split.
-
-    Also cross-checks the (bright, middle) dynamics against a direct
-    two-level propagation of the reduced generator; the residual is the
-    final-amplitude mismatch between the two.
-    """
+    """Propagate middle-guide input and score the 50/50 split."""
     L = sp.base.half_length
     c0 = np.array([0.0, 1.0, 0.0], dtype=complex)
     traj = propagate_adaptive(build_h3(sp), c0, -L, L, tol)
     i1, i2, i3 = (float(x) for x in traj.final_intensities)
-
-    bright, middle, _ = reduce_bright_dark(traj.final_state)
-    ref = propagate_adaptive(build_reduced_h2(sp), np.array([0.0, 1.0], dtype=complex),
-                             -L, L, tol)
-    residual = float(max(abs(bright - ref.final_state[0]),
-                         abs(middle - ref.final_state[1])))
-
     return SplitterResult(
         trajectory=traj,
         final_intensities=(i1, i2, i3),
         splitting_infidelity=max(abs(i1 - 0.5), abs(i3 - 0.5)),
-        reduction_residual=residual,
     )

@@ -119,6 +119,8 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     if omega0 == 0.0 or total_length == 0.0:
+        # checked as any other point, except that length 0 is valid here
+        ModelParams(omega0, delta0, 1.0 if total_length == 0.0 else total_length / 2.0)
         # input stays put: I2 = 0 for guide-1 input, I1 = I3 = 0 for the splitter
         return 0.0 if metric == "final_i2" else 0.5
     p = ModelParams(omega0=omega0, delta0=delta0,

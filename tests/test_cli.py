@@ -302,6 +302,15 @@ class TestNonFinite:
         assert code == EXIT_USAGE
         assert f"{field} must be finite" in err
 
+    @pytest.mark.parametrize("delta0,sta", [("nan", "--no-sta"), ("inf", "--sta"),
+                                            ("-1", "--no-sta")])
+    def test_degenerate_threshold(self, delta0, sta, capsys):
+        # zero coupling scores every length 0 without integrating; the
+        # design is still checked
+        code, _, err = run(capsys, "threshold", "--omega0", "0", "--delta0", delta0, sta)
+        assert code == EXIT_USAGE
+        assert "delta0 must be" in err
+
     def test_axis_bound(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--axis-x", "omega0:0:inf:3",

@@ -20,7 +20,8 @@ from sta_coupler.propagation import (
     propagate_adaptive,
 )
 from sta_coupler.schedules import ModelParams
-from sta_coupler.splitter import SplitterParams, build_h3, build_reduced_h2
+from sta_coupler.splitter import SplitterParams, build_h3
+from test_splitter import reduced_h2
 
 DESIGN = ModelParams(3.0, 0.2, 5.0, sta=True)
 RAW = ModelParams(3.0, 0.2, 5.0, sta=False)
@@ -34,7 +35,7 @@ CASES = {
     "h2-raw-guide2": (build_h2(RAW), GUIDE_2),
     "h3-direct": (build_h3(SplitterParams(DESIGN, "direct")), MIDDLE),
     "h3-reduced_cd": (build_h3(SplitterParams(DESIGN, "reduced_cd")), MIDDLE),
-    "reduced-h2": (build_reduced_h2(SplitterParams(DESIGN, "reduced_cd")), GUIDE_2),
+    "reduced-h2": (reduced_h2(SplitterParams(DESIGN, "reduced_cd")), GUIDE_2),
 }
 
 

@@ -18,7 +18,7 @@ PACKAGE = [
     "build_h2",
     "build_h3", "diagnostics", "drive", "effective_schedule",
     "geometry_synthesis", "propagate_adaptive", "propagate_pwc",
-    "reduce_bright_dark", "robust_region_fraction", "run_sweep",
+    "robust_region_fraction", "run_sweep",
     "schedule_grid", "simulate", "simulate_splitter", "threshold_length",
 ]
 
@@ -33,8 +33,7 @@ MODULES = {
                   "adiabatic_transport", "diagnostics", "drive", "effective_schedule",
                   "geometry_synthesis", "schedule_grid"],
     "serialize": ["format_float", "write_csv", "write_json"],
-    "splitter": ["SplitterParams", "SplitterResult", "build_h3",
-                 "reduce_bright_dark", "simulate_splitter"],
+    "splitter": ["SplitterParams", "SplitterResult", "build_h3", "simulate_splitter"],
     "sweep": ["AxisSpec", "SweepResult", "SweepSpec", "TargetNotReached",
               "ThresholdResult", "metric_value", "robust_region_fraction",
               "run_sweep", "threshold_length"],

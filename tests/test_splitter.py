@@ -1,21 +1,30 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
-from sta_coupler.propagation import propagate_adaptive
+from sta_coupler import splitter
+from sta_coupler.propagation import HamiltonianSpec, propagate_adaptive
 from sta_coupler.schedules import ModelParams, effective_schedule
 from sta_coupler.splitter import (
     SplitterParams,
     build_h3,
-    build_reduced_h2,
-    reduce_bright_dark,
     simulate_splitter,
     splitter_schedule,
 )
 
 BASE = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=True)
 BASE_RAW = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=False)
+ROBUST = ModelParams(omega0=3.0, delta0=0.2, half_length=5.0, sta=True)  # acceptance 8
+
+
+def reduced_h2(sp: SplitterParams) -> HamiltonianSpec:
+    """Generator [[0, sqrt(2) W], [sqrt(2) W, D]] of the (bright, middle)
+    system the array reduces to once the dark state decouples."""
+    return HamiltonianSpec((np.array([[0.0, math.sqrt(2.0)], [math.sqrt(2.0), 0.0]]),
+                            np.diag([0.0, 1.0])),
+                           partial(splitter_schedule, sp), discontinuities=(0.0,))
 
 
 class TestConstruction:
@@ -38,14 +47,14 @@ class TestConstruction:
         assert np.array_equal(build_h3(sp).matrix(z, side),
                               [[0, w, 0], [w, d, w], [0, w, 0]])
         rw = math.sqrt(2.0) * w
-        assert np.array_equal(build_reduced_h2(sp).matrix(z, side), [[0, rw], [rw, d]])
+        assert np.array_equal(reduced_h2(sp).matrix(z, side), [[0, rw], [rw, d]])
 
     def test_reduced_cd_matrices_from_schedule(self):
         sp = SplitterParams(BASE, "reduced_cd")
         w, d = splitter_schedule(sp, -5.0)
         assert np.array_equal(build_h3(sp).matrix(-5.0), [[0, w, 0], [w, d, w], [0, w, 0]])
         rw = math.sqrt(2.0) * w
-        assert np.array_equal(build_reduced_h2(sp).matrix(-5.0), [[0, rw], [rw, d]])
+        assert np.array_equal(reduced_h2(sp).matrix(-5.0), [[0, rw], [rw, d]])
 
     @pytest.mark.parametrize("z, side", [(-12.5, 0), (-7.3, 0), (0.0, -1), (0.0, +1), (4.1, 0),
                                          (12.5, 0)])
@@ -86,29 +95,13 @@ class TestConstruction:
         assert direct != reduced
 
 
-class TestBrightDark:
-    def test_roundtrip_norm(self):
-        c = np.array([0.3 + 0.1j, 0.2j, -0.5 + 0.4j])
-        c = c / np.linalg.norm(c)
-        b, m, d = reduce_bright_dark(c)
-        assert abs(b) ** 2 + abs(m) ** 2 + abs(d) ** 2 == pytest.approx(1.0)
-
-    def test_symmetric_input_has_no_dark_component(self):
-        _, _, d = reduce_bright_dark(np.array([0.5, 0.7071, 0.5]))
-        assert d == 0.0
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            reduce_bright_dark(np.array([1.0, 0.0]))
-
-
 class TestSimulateSplitter:
     def test_dark_state_never_populated(self):
         # middle-guide input has no overlap with the dark state and the
         # generator cannot create one: the dark amplitude is exactly zero
         r = simulate_splitter(SplitterParams(BASE), tol=1e-10)
-        darks = [abs(reduce_bright_dark(c)[2]) for c in r.trajectory.states]
-        assert max(darks) == 0.0
+        c = r.trajectory.states
+        assert np.max(np.abs((c[:, 0] - c[:, 2]) / math.sqrt(2.0))) == 0.0
 
     def test_outer_guides_identical(self):
         r = simulate_splitter(SplitterParams(BASE), tol=1e-10)
@@ -116,10 +109,30 @@ class TestSimulateSplitter:
         assert np.max(np.abs(i[:, 0] - i[:, 2])) < 1e-12
 
     def test_reduction_residual_small(self):
-        # the 3-level run must agree with the exact 2-level reduction
-        for mode in ("direct", "reduced_cd"):
-            r = simulate_splitter(SplitterParams(BASE, mode), tol=1e-10)
-            assert r.reduction_residual < 1e-8
+        # the 3-level run must agree with a 2-level propagation of the reduction
+        for base in (BASE, ROBUST):
+            L = base.half_length
+            raw = ModelParams(base.omega0, base.delta0, L, sta=False)
+            for sp in (SplitterParams(raw), SplitterParams(base, "direct"),
+                       SplitterParams(base, "reduced_cd")):
+                c = simulate_splitter(sp, tol=1e-10).trajectory.final_state
+                ref = propagate_adaptive(reduced_h2(sp), np.array([0.0, 1.0], dtype=complex),
+                                         -L, L, 1e-10).final_state
+                bright, middle = (c[0] + c[2]) / math.sqrt(2.0), c[1]
+                assert max(abs(bright - ref[0]), abs(middle - ref[1])) < 1e-8, sp
+
+    @pytest.mark.parametrize("sp", [SplitterParams(BASE_RAW), SplitterParams(BASE, "direct"),
+                                    SplitterParams(BASE)], ids=["raw", "direct", "reduced_cd"])
+    def test_integrates_once(self, sp, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return propagate_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(splitter, "propagate_adaptive", counting)
+        simulate_splitter(sp, tol=1e-6)
+        assert len(calls) == 1
 
     def test_reference_reduced_cd_split(self):
         # frozen regression values

@@ -146,6 +146,15 @@ class TestMetricValue:
     def test_degenerate_zero_length(self):
         assert metric_value("final_i2", False, 1.0, 0.1, 0.0) == 0.0
 
+    @pytest.mark.parametrize("design", [(0.0, math.nan, 10.0), (0.0, math.inf, 0.0),
+                                        (0.0, -1.0, 0.0), (math.nan, 0.1, 0.0),
+                                        (-1.0, 0.1, 0.0), (0.0, 1.0, -5.0),
+                                        (0.0, 1.0, math.inf)])
+    def test_degenerate_checked(self, design):
+        for metric in ("final_i2", "splitting_infidelity"):
+            with pytest.raises(ValueError, match="must be"):
+                metric_value(metric, True, *design)
+
 
 # a log-scale lattice of designs from subnormal values to the float maximum
 RATES = [5e-324, 1e-310, 1e-160, 1e-100, 1.0, 1e100, 1e154, 1e160, 1.7976931348623157e308]
