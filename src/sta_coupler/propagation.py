@@ -68,18 +68,22 @@ class HamiltonianSpec:
         return self.terms[0].shape[0]
 
     def matrix(self, z: float, side: int = 0) -> np.ndarray:
+        return np.dot(self._checked(z, side), self._flat).reshape(self.terms[0].shape)
+
+    def _checked(self, z: float, side: int) -> Sequence[float]:
         f = self.coefficients(z, side)
         if len(f) != len(self.terms):
             raise ValueError(f"coefficients gave {len(f)} values for {len(self.terms)} terms")
         _check_coefficients(f, z)
-        return np.dot(f, self._flat).reshape(self.terms[0].shape)
+        return f
 
 
 def _check_coefficients(f: Sequence[float], z: float) -> None:
-    s = sum(f)  # complex if any coefficient is, nan or inf if any is not finite
+    s = sum(f)  # complex if any coefficient is; inf or nan if any is not finite
     if isinstance(s, complex):
         raise ValueError(f"coefficients must be real, got {f!r} at z={z}")
-    if not math.isfinite(s):
+    # finite coefficients can still sum to inf, so look at each only then
+    if not math.isfinite(s) and not all(map(math.isfinite, f)):
         raise FloatingPointError(f"non-finite coefficients {f!r} at z={z}")
 
 
@@ -126,15 +130,40 @@ def _segments(h: HamiltonianSpec, z_from: float, z_to: float) -> list[tuple[floa
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _side_at(h: HamiltonianSpec, z: float, a: float, b: float) -> int:
-    # Within the open segment the side tag is irrelevant; at a segment
-    # endpoint that is a discontinuity, evaluate one-sided towards the
-    # segment interior.
-    if z == a and a in h.discontinuities:
-        return +1
-    if z == b and b in h.discontinuities:
-        return -1
-    return 0
+def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, np.ndarray], np.ndarray]:
+    """The right-hand side -i H(z) y of i dy/dz = H(z) y on the segment [a, b].
+
+    Each call checks the coefficients as matrix() does, then sums
+    f_k(z) * (-i T_k[r, c]) * y[c] over the terms' nonzero entries in
+    Python complex arithmetic, which is cheaper than numpy's on 2 or 3
+    components.
+    """
+    coefficients_at, dim = h._checked, h.dim
+    # within the open segment the side tag is irrelevant; at an end that is
+    # a discontinuity, evaluate one-sided towards the segment interior
+    left, right = a in h.discontinuities, b in h.discontinuities
+    # in column order, as a matrix-vector product adds them: where no two
+    # terms share an entry, each product and sum is then the one that
+    # -1j * (matrix(z) @ y) rounds, unless numpy's product fuses them
+    rows = [[(k, c, complex(-1j * t[r, c])) for c in range(dim)
+             for k, t in enumerate(h.terms) if t[r, c]] for r in range(dim)]
+
+    def rhs(z: float, y: np.ndarray) -> np.ndarray:
+        # the integrator's z is an np.float64, whose arithmetic raises under
+        # propagate_adaptive's errstate where Python floats give the inf or
+        # nan that the coefficient check reports as a non-finite schedule
+        z = float(z)
+        f = coefficients_at(z, +1 if left and z == a else -1 if right and z == b else 0)
+        y = y.tolist()
+        out = []
+        for row in rows:
+            acc = 0j
+            for k, c, m in row:
+                acc += f[k] * m * y[c]
+            out.append(acc)
+        return np.array(out, dtype=complex)
+
+    return rhs
 
 
 def _check_tol(tol: float) -> None:
@@ -199,6 +228,10 @@ _E3[:-1] = _B
 _E3[0] -= 0.244094488188976377952755905512
 _E3[8] -= 0.733846688281611857341361741547
 _E3[11] -= 0.220588235294117647058823529412e-1
+# the stages' nodes and weights, the weights cast to complex once here rather
+# than by np.dot on every stage of every step (the same values, so the same bits)
+_STAGES = tuple((_C[s], _A[s, :s].astype(complex)) for s in range(1, 12))
+_B_COMPLEX, _E5_COMPLEX, _E3_COMPLEX = (w.astype(complex) for w in (_B, _E5, _E3))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
 
@@ -213,7 +246,8 @@ def _dop853(fun: Callable[[float, np.ndarray], np.ndarray], a: float, b: float,
 
     A step-for-step port of scipy's
     ``solve_ivp(fun, (a, b), y0, method="DOP853", rtol=tol, atol=tol)``:
-    the same numpy operations in the same order, so the same bits.
+    the same numpy operations in the same order, so the same bits given the
+    same fun.
     """
     nfev = 0
 
@@ -246,6 +280,9 @@ def _dop853(fun: Callable[[float, np.ndarray], np.ndarray], a: float, b: float,
 
     ts, ys = [t], [y]
     K = np.empty((13, y.size), dtype=complex)
+    # K[:s].T for each stage s, K[:-1].T and K.T, as views made once
+    stages = [(s, K[:s].T, c, a) for s, (c, a) in enumerate(_STAGES, 1)]
+    k_body, k_all = K[:-1].T, K.T
     while direction * (t - t_bound) < 0:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         if h_abs < min_step:
@@ -262,16 +299,16 @@ def _dop853(fun: Callable[[float, np.ndarray], np.ndarray], a: float, b: float,
             h_abs = np.abs(h)
 
             K[0] = fy
-            for s in range(1, 12):
-                dy = np.dot(K[:s].T, _A[s, :s]) * h
-                K[s] = f(t + _C[s] * h, y + dy)
-            y_new = y + h * np.dot(K[:-1].T, _B)
+            for s, k_prev, c, a_row in stages:
+                dy = np.dot(k_prev, a_row) * h
+                K[s] = f(t + c * h, y + dy)
+            y_new = y + h * np.dot(k_body, _B_COMPLEX)
             f_new = f(t + h, y_new)
             K[-1] = f_new
 
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            err5_norm_2 = np.linalg.norm(np.dot(K.T, _E5) / scale) ** 2
-            err3_norm_2 = np.linalg.norm(np.dot(K.T, _E3) / scale) ** 2
+            err5_norm_2 = np.linalg.norm(np.dot(k_all, _E5_COMPLEX) / scale) ** 2
+            err3_norm_2 = np.linalg.norm(np.dot(k_all, _E3_COMPLEX) / scale) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
@@ -306,16 +343,10 @@ def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
     states: list[np.ndarray] = []
     nfev = 0
     for a, b in _segments(h, z_from, z_to):
-        def rhs(z: float, y: np.ndarray, a: float = a, b: float = b) -> np.ndarray:
-            # the integrator's z is an np.float64, whose arithmetic raises
-            # under the errstate below where Python floats give the inf or
-            # nan that matrix() reports as a non-finite schedule
-            return -1j * (h.matrix(float(z), _side_at(h, z, a, b)) @ y)
-
         try:
             # stop at an overflow, not when the step shrinks below the spacing
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                seg_z, seg_states, seg_nfev = _dop853(rhs, a, b, c, tol)
+                seg_z, seg_states, seg_nfev = _dop853(_rhs(h, a, b), a, b, c, tol)
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} on [{a}, {b}]") from exc
         nfev += seg_nfev

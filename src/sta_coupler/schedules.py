@@ -142,20 +142,24 @@ def _resolve_side(z: float, side: int) -> int:
     )
 
 
-def _closed_form(omega0: float, delta_left: float, half_length: float,
-                 z: float, side: int = 0) -> SchedulePoint:
-    """Evaluate all schedule quantities for a signed-mismatch model.
+def _raw(omega0: float, delta_left: float, half_length: float,
+         z: float, side: int) -> tuple[float, float, float, float]:
+    """Raw coupling and mismatch (omega, delta) at z, with the rate
+    k = 2 pi / L and sech(k z) that the counterdiabatic terms reuse.
 
     The mismatch is ``delta_left`` for z < 0 and ``-delta_left`` for z > 0.
     """
     sgn = _resolve_side(z, side)
     k = 2.0 * math.pi / half_length
-    u = k * z
-    sech = 1.0 / math.cosh(u)
-    tanh = math.tanh(u)
+    sech = 1.0 / math.cosh(k * z)
+    return omega0 * sech, delta_left if sgn < 0 else -delta_left, k, sech
 
-    omega = omega0 * sech
-    delta = delta_left if sgn < 0 else -delta_left
+
+def _closed_form(omega0: float, delta_left: float, half_length: float,
+                 z: float, side: int = 0) -> SchedulePoint:
+    """Evaluate all schedule quantities for a signed-mismatch model (see
+    :func:`_raw`)."""
+    omega, delta, k, sech = _raw(omega0, delta_left, half_length, z, side)
     theta = math.atan2(omega, delta)
 
     if omega0 == 0.0 or delta_left == 0.0:
@@ -163,11 +167,12 @@ def _closed_form(omega0: float, delta_left: float, half_length: float,
         # vanishes identically and the STA schedules reduce to the raw ones.
         return SchedulePoint(z, omega, delta, 0.0, 0.0, theta, omega, delta)
 
-    # r = omega_a / omega = -(k/2) tanh(u) delta / D and its derivative,
+    # r = omega_a / omega = -(k/2) tanh(k z) delta / D and its derivative,
     # with D = omega^2 + delta^2 the only divisor
+    tanh = math.tanh(k * z)
     denom = omega * omega + delta * delta
     try:
-        rate = -0.5 * k * (delta / denom)  # r / tanh(u)
+        rate = -0.5 * k * (delta / denom)  # r / tanh(k z)
         r_dot = k * rate * (sech * sech + 2.0 * (omega * omega / denom) * tanh * tanh)
     except ZeroDivisionError:
         # a subnormal omega0 and delta0 underflow the sum to 0
@@ -243,9 +248,13 @@ def effective_schedule(p: ModelParams, z: float, side: int = 0) -> SchedulePoint
 
 def drive(p: ModelParams, z: float, side: int = 0) -> tuple[float, float]:
     """Coupling and mismatch of the two-guide generator at position z:
-    (omega_eff, delta_eff) when p.sta, else the raw (omega, delta)."""
-    sp = effective_schedule(p, z, side)
-    return (sp.omega_eff, sp.delta_eff) if p.sta else (sp.omega, sp.delta)
+    (omega_eff, delta_eff) when p.sta, else the raw (omega, delta), which
+    need none of the counterdiabatic terms."""
+    _check_position(p, z)
+    if p.sta:
+        sp = _closed_form(p.omega0, p.delta0, p.half_length, z, side)
+        return sp.omega_eff, sp.delta_eff
+    return _raw(p.omega0, p.delta0, p.half_length, z, side)[:2]
 
 
 def schedule_grid(p: ModelParams, zs: np.ndarray) -> SchedulePoint:

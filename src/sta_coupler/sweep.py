@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -166,6 +165,9 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
 
     indices = [(i, j) for i in range(len(ys)) for j in range(len(xs))]
     if workers > 1:
+        # imported here, so that a serial run and the CLI do not load it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(cell, indices))
     else:

@@ -24,6 +24,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(script):
+    """Run script in a fresh interpreter that imports this sta_coupler."""
+    src = str(Path(sta_coupler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 class TestProfile:
     def test_csv_stdout(self, capsys):
         code, out, _ = run(capsys, "profile", *MODEL, "--sta", "--samples", "5")
@@ -232,9 +241,6 @@ class TestCheck:
     def test_does_not_import_scipy(self, tmp_path):
         # the integrator is in-package, so no command needs scipy: one
         # interpreter runs every command of the cli_session benchmark workload
-        src = str(Path(sta_coupler.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         sweep_config = tmp_path / "sweep.json"
         sweep_config.write_text(json.dumps({"sweep": {
             "axis_x": "omega0:0:5:4", "axis_y": "delta0:0:5:4", "total_length": 10.0,
@@ -268,8 +274,14 @@ class TestCheck:
             "    assert got == code, (argv, got)\n"
             "    assert 'scipy' not in sys.modules, ('scipy was imported', argv)\n"
         )
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python(script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_import_leaves_out_the_thread_pool(self):
+        # only run_sweep(workers > 1) uses concurrent.futures, so importing
+        # the CLI, which every command pays for, does not load it
+        proc = run_python("import sys, sta_coupler.cli\n"
+                          "assert 'concurrent.futures' not in sys.modules\n")
         assert proc.returncode == 0, proc.stderr
 
 

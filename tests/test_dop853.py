@@ -1,8 +1,10 @@
 """The in-package DOP853 is scipy's solve_ivp(method="DOP853"), step for step.
 
 scipy is a test dependency only: these tests run the reference integrator
-per segment, as propagate_adaptive splits the run, and require the same
-bits, not agreement within tol.
+per segment, as propagate_adaptive splits the run, on the package's own
+right-hand side, and require the same bits, not agreement within tol.
+tests/test_propagation.py::TestRhs checks that right-hand side against
+HamiltonianSpec.matrix.
 """
 
 import numpy as np
@@ -15,8 +17,8 @@ from sta_coupler.coupler import build_h2
 from sta_coupler.propagation import (
     HamiltonianSpec,
     StiffnessError,
+    _rhs,
     _segments,
-    _side_at,
     propagate_adaptive,
 )
 from sta_coupler.schedules import ModelParams
@@ -40,15 +42,13 @@ CASES = {
 
 
 def reference(h, c0, z_from, z_to, tol):
-    """propagate_adaptive's loop with solve_ivp as the integrator."""
+    """propagate_adaptive's loop with solve_ivp as the integrator, given the
+    same right-hand side."""
     c = c0
     zs, states, nfev = [], [], 0
     for a, b in _segments(h, z_from, z_to):
-        def rhs(z, y, a=a, b=b):
-            return -1j * (h.matrix(float(z), _side_at(h, z, a, b)) @ y)
-
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            sol = solve_ivp(rhs, (a, b), c, method="DOP853", rtol=tol, atol=tol)
+            sol = solve_ivp(_rhs(h, a, b), (a, b), c, method="DOP853", rtol=tol, atol=tol)
         assert sol.success, sol.message
         nfev += sol.nfev
         z, y = (sol.t, sol.y.T) if not zs else (sol.t[1:], sol.y.T[1:])
@@ -66,6 +66,15 @@ def test_tableau_is_scipys():
     for ours, theirs in pairs:
         assert ours.shape == theirs.shape
         assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
+    # the stages' nodes and complex weights are these, cast once
+    assert len(propagation._STAGES) == n - 1
+    for s, (c, a) in enumerate(propagation._STAGES, 1):
+        assert c == propagation._C[s]
+        assert a.dtype == complex and a.tobytes() == propagation._A[s, :s].astype(complex).tobytes()
+    for ours, real in [(propagation._B_COMPLEX, propagation._B),
+                       (propagation._E5_COMPLEX, propagation._E5),
+                       (propagation._E3_COMPLEX, propagation._E3)]:
+        assert ours.dtype == complex and ours.tobytes() == real.astype(complex).tobytes()
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-4])

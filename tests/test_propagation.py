@@ -8,13 +8,17 @@ from sta_coupler.coupler import build_h2
 from sta_coupler.propagation import (
     HamiltonianSpec,
     StiffnessError,
+    _rhs,
     propagate_adaptive,
     propagate_pwc,
 )
-from sta_coupler.schedules import ModelParams, drive, effective_schedule
+from sta_coupler.schedules import DiscontinuityError, ModelParams, drive, effective_schedule
+from sta_coupler.splitter import SplitterParams, build_h3
+from test_splitter import reduced_h2
 
 UP = np.array([1.0, 0.0], dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]])
+SIGMA_Y = np.array([[0, -1j], [1j, 0]])
 SIGMA_Z = np.array([[1, 0], [0, -1]])
 
 
@@ -69,9 +73,8 @@ class TestSpecContract:
             HamiltonianSpec((SIGMA_X, np.array([[0, 1j], [1j, 0]])), lambda z, s: (1.0, 1.0))
 
     def test_complex_hermitian_term_accepted(self):
-        sigma_y = np.array([[0, -1j], [1j, 0]])
-        h = HamiltonianSpec((sigma_y,), lambda z, s: (0.5,))
-        assert np.array_equal(h.matrix(0.0), 0.5 * sigma_y)
+        h = HamiltonianSpec((SIGMA_Y,), lambda z, s: (0.5,))
+        assert np.array_equal(h.matrix(0.0), 0.5 * SIGMA_Y)
 
     @pytest.mark.parametrize("bad", [0.5 + 0j, np.complex128(0.5)],
                              ids=["complex", "complex128"])
@@ -85,6 +88,12 @@ class TestSpecContract:
         h = HamiltonianSpec((SIGMA_X, SIGMA_Z), lambda z, s: (0.7, bad))
         with pytest.raises(FloatingPointError, match="z=0.3"):
             h.matrix(0.3)
+
+    @pytest.mark.parametrize("big", [(1e308, 1e308), (-1e308, -1e308), (1e308, -1e308)])
+    def test_finite_coefficients_with_overflowing_sum_accepted(self, big):
+        h = HamiltonianSpec((SIGMA_X, SIGMA_Z), lambda z, s: big)
+        assert np.array_equal(h.matrix(0.0), [[big[1], big[0]], [big[0], -big[1]]])
+        assert np.all(np.isfinite(_rhs(h, 0.0, 1.0)(0.0, UP)))
 
     def test_coefficient_count_checked(self):
         h = HamiltonianSpec((SIGMA_X, SIGMA_Z), lambda z, s: (1.0,))
@@ -104,6 +113,78 @@ class TestSpecContract:
         assert h.matrix(0.0)[0, 1] == 1.0
         with pytest.raises(ValueError):
             h.terms[0][0, 1] = 5.0
+
+
+STA_SPLIT = ModelParams(3.0, 0.2, 5.0, sta=True)
+GENERATORS = {
+    "h2-sta": build_h2(ModelParams(1.5, 0.1, 12.5, sta=True)),
+    "h2-raw": build_h2(ModelParams(1.5, 0.1, 12.5, sta=False)),
+    "h3-direct": build_h3(SplitterParams(STA_SPLIT, "direct")),
+    "h3-reduced_cd": build_h3(SplitterParams(STA_SPLIT, "reduced_cd")),
+    "reduced-h2": reduced_h2(SplitterParams(STA_SPLIT, "reduced_cd")),
+    "sigma-y": HamiltonianSpec((SIGMA_X, SIGMA_Y, SIGMA_Z),
+                               lambda z, s: (1.0 + z * z, math.sin(z), 0.3 * s - z),
+                               discontinuities=(0.0,)),
+}
+
+
+class TestRhs:
+    """The integrator's right-hand side is -i H(z) y with H from matrix(),
+    to rounding, and checks the coefficients as matrix() does."""
+
+    @pytest.mark.parametrize("name", list(GENERATORS))
+    def test_agrees_with_matrix(self, name):
+        h = GENERATORS[name]
+        L = 12.5 if name.startswith("h2") else 5.0
+        rng = np.random.default_rng(7)
+        left, right = _rhs(h, -L, 0.0), _rhs(h, 0.0, L)
+        points = [(left, z, 0) for z in rng.uniform(-L, 0.0, 30)]
+        points += [(right, z, 0) for z in rng.uniform(0.0, L, 30)]
+        # z = 0 ends the left segment and starts the right one
+        points += [(left, 0.0, -1), (right, 0.0, +1), (left, -L, 0), (right, L, 0)]
+        for rhs, z, side in points:
+            y = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+            y /= np.linalg.norm(y)
+            H = h.matrix(float(z), side)
+            got, want = rhs(np.float64(z), y), -1j * (H @ y)
+            assert got.dtype == complex and got.shape == (h.dim,)
+            bound = 4 * 2.0 ** -53 * np.linalg.norm(H) * np.linalg.norm(y)
+            assert np.linalg.norm(got - want) <= bound, (z, side)
+
+    @pytest.mark.parametrize("coefficients, error", [
+        (lambda z, s: (0.5 + 0j, 0.1), ValueError),
+        (lambda z, s: (np.complex128(0.5), 0.1), ValueError),
+        (lambda z, s: (1.0,), ValueError),
+        (lambda z, s: (0.7, math.nan), FloatingPointError),
+        (lambda z, s: (math.inf, 0.7), FloatingPointError),
+    ], ids=["complex", "complex128", "count", "nan", "inf"])
+    def test_errors_match_matrix(self, coefficients, error):
+        h = HamiltonianSpec((SIGMA_X, SIGMA_Z), coefficients)
+        with pytest.raises(error) as by_matrix:
+            h.matrix(0.3)
+        with pytest.raises(error) as by_rhs:
+            _rhs(h, 0.0, 1.0)(np.float64(0.3), UP)
+        assert str(by_rhs.value) == str(by_matrix.value)
+
+    def test_raw_drive_is_the_schedules_raw_pair(self):
+        # the raw drive skips the counterdiabatic terms but not a bit of
+        # (omega, delta), nor the position and side checks
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            p = ModelParams(10 ** rng.uniform(-3, 3), 10 ** rng.uniform(-3, 3),
+                            10 ** rng.uniform(-2, 2), sta=False)
+            L = p.half_length
+            points = [(z, 0) for z in rng.uniform(-L, L, 10)]
+            points += [(0.0, -1), (0.0, +1), (-L, 0), (L, 0)]
+            for z, side in points:
+                sp = effective_schedule(p, z, side)
+                got = drive(p, z, side)
+                assert type(got) is tuple
+                assert np.array(got).tobytes() == np.array((sp.omega, sp.delta)).tobytes()
+        with pytest.raises(DiscontinuityError):
+            drive(p, 0.0)
+        with pytest.raises(ValueError, match="outside the device"):
+            drive(p, 1.5 * L)
 
 
 class TestAnalyticOracles:
@@ -222,7 +303,7 @@ class TestInvariants:
 
     def test_schedule_sees_python_floats(self):
         # so that the schedule's own arithmetic, not numpy's, meets a
-        # non-finite value and matrix() reports it
+        # non-finite value and the coefficient check reports it
         p = ModelParams(1.5, 0.1, 2.0, sta=True)
         seen = []
 
