@@ -3,7 +3,7 @@
 Two independent integrators are provided and used as mutual oracles:
 
 * :func:`propagate_adaptive` -- adaptive embedded Runge-Kutta (DOP853, a
-  numpy port of scipy's ``solve_ivp`` that takes the same steps) with the
+  port of scipy's ``solve_ivp`` that takes the same steps) with the
   integration hard-split at every listed discontinuity, so no step
   straddles the sign-flip point.  The norm is never renormalized; its
   drift is a quality diagnostic.
@@ -14,6 +14,7 @@ Two independent integrators are provided and used as mutual oracles:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -130,11 +131,12 @@ def _segments(h: HamiltonianSpec, z_from: float, z_to: float) -> list[tuple[floa
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, np.ndarray], np.ndarray]:
+def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, list], list]:
     """The right-hand side -i H(z) y of i dy/dz = H(z) y on the segment [a, b].
 
-    Each call checks the coefficients as matrix() does, then sums
-    f_k(z) * (-i T_k[r, c]) * y[c] over the terms' nonzero entries in
+    Each call takes y as a list of complex numbers, checks the coefficients
+    as matrix() does, then returns the list of sums of
+    f_k(z) * (-i T_k[r, c]) * y[c] over the terms' nonzero entries, in
     Python complex arithmetic, which is cheaper than numpy's on 2 or 3
     components.
     """
@@ -148,20 +150,19 @@ def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, np.ndarray]
     rows = [[(k, c, complex(-1j * t[r, c])) for c in range(dim)
              for k, t in enumerate(h.terms) if t[r, c]] for r in range(dim)]
 
-    def rhs(z: float, y: np.ndarray) -> np.ndarray:
+    def rhs(z: float, y: list) -> list:
         # the integrator's z is an np.float64, whose arithmetic raises under
         # propagate_adaptive's errstate where Python floats give the inf or
         # nan that the coefficient check reports as a non-finite schedule
         z = float(z)
         f = coefficients_at(z, +1 if left and z == a else -1 if right and z == b else 0)
-        y = y.tolist()
         out = []
         for row in rows:
             acc = 0j
             for k, c, m in row:
                 acc += f[k] * m * y[c]
             out.append(acc)
-        return np.array(out, dtype=complex)
+        return out
 
     return rhs
 
@@ -228,10 +229,20 @@ _E3[:-1] = _B
 _E3[0] -= 0.244094488188976377952755905512
 _E3[8] -= 0.733846688281611857341361741547
 _E3[11] -= 0.220588235294117647058823529412e-1
-# the stages' nodes and weights, the weights cast to complex once here rather
-# than by np.dot on every stage of every step (the same values, so the same bits)
-_STAGES = tuple((_C[s], _A[s, :s].astype(complex)) for s in range(1, 12))
-_B_COMPLEX, _E5_COMPLEX, _E3_COMPLEX = (w.astype(complex) for w in (_B, _E5, _E3))
+
+
+def _sparse(weights: np.ndarray) -> tuple[tuple[int, complex], ...]:
+    return tuple((j, complex(w)) for j, w in enumerate(weights) if w)
+
+
+# each stage's node and the nonzero weights of its row of A, then those of
+# E5 and E3, as (column, complex weight) in column order: numpy's dot casts
+# the weights to complex, and a zero weight adds a signed zero to a sum that
+# started at +0, which changes no bit.  The last stage, at node 1 with
+# weights B, gives y_new and f_new: t + 1.0 * h is t + h, and y + h * dy
+# rounds as y + dy * h.
+_STAGES = tuple((c, _sparse(_A[s, :s])) for s, c in enumerate((*_C[1:], 1.0), 1))
+_E5_ROW, _E3_ROW = _sparse(_E5), _sparse(_E3)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
 
@@ -240,28 +251,41 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _dop853(fun: Callable[[float, np.ndarray], np.ndarray], a: float, b: float,
+def _norm(x: np.ndarray) -> np.float64:
+    # np.linalg.norm of a complex vector, by the same operations
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
+def _combine(K: list[list[complex]], row: tuple[tuple[int, complex], ...]) -> list[complex]:
+    """sum_j w_j K[j] over a sparse tableau row, added in column order from
+    +0 as np.dot adds it."""
+    out = []
+    for i in range(len(K[0])):
+        acc = 0j
+        for j, w in row:
+            acc += K[j][i] * w
+        out.append(acc)
+    return out
+
+
+def _dop853(fun: Callable[[float, list], list], a: float, b: float,
             y0: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
     """Accepted z, states and RHS count of DOP853 on [a, b], a < b.
 
     A step-for-step port of scipy's
-    ``solve_ivp(fun, (a, b), y0, method="DOP853", rtol=tol, atol=tol)``:
-    the same numpy operations in the same order, so the same bits given the
-    same fun.
+    ``solve_ivp(fun, (a, b), y0, method="DOP853", rtol=tol, atol=tol)``,
+    with the same bits given the same fun, which here takes and returns
+    lists of complex numbers.  The stages, y_new and the error estimates
+    are combined in Python complex arithmetic, which rounds each product
+    and sum as numpy does; the step size, the scale and the error norms
+    stay numpy's, since Python's abs and sums of squares round otherwise.
     """
-    nfev = 0
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=complex)
-
     t0, t_bound = float(a), float(b)
     # +1 as an np.float64: it makes the step arithmetic numpy's, which raises
     # on overflow under np.errstate where Python floats would not
     direction = np.sign(t_bound - t0)
     t, y = t0, y0
-    fy = f(t, y)
+    fy = np.array(fun(t, y.tolist()))
 
     # initial step (Hairer, Norsett & Wanner, Sec. II.4)
     interval_length = abs(t_bound - t0)
@@ -270,7 +294,7 @@ def _dop853(fun: Callable[[float, np.ndarray], np.ndarray], a: float, b: float,
     d1 = _rms(fy / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = f(t0 + h0 * direction, y + h0 * direction * fy)
+    f1 = np.array(fun(t0 + h0 * direction, (y + h0 * direction * fy).tolist()))
     d2 = _rms((f1 - fy) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -278,11 +302,9 @@ def _dop853(fun: Callable[[float, np.ndarray], np.ndarray], a: float, b: float,
         h1 = (0.01 / max(d1, d2)) ** -_ERROR_EXPONENT
     h_abs = min(100 * h0, h1, interval_length)
 
+    abs_y, y, fy = np.abs(y), y.tolist(), fy.tolist()
     ts, ys = [t], [y]
-    K = np.empty((13, y.size), dtype=complex)
-    # K[:s].T for each stage s, K[:-1].T and K.T, as views made once
-    stages = [(s, K[:s].T, c, a) for s, (c, a) in enumerate(_STAGES, 1)]
-    k_body, k_all = K[:-1].T, K.T
+    attempts = 0
     while direction * (t - t_bound) < 0:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
         if h_abs < min_step:
@@ -298,17 +320,33 @@ def _dop853(fun: Callable[[float, np.ndarray], np.ndarray], a: float, b: float,
             h = t_new - t
             h_abs = np.abs(h)
 
-            K[0] = fy
-            for s, k_prev, c, a_row in stages:
-                dy = np.dot(k_prev, a_row) * h
-                K[s] = f(t + c * h, y + dy)
-            y_new = y + h * np.dot(k_body, _B_COMPLEX)
-            f_new = f(t + h, y_new)
-            K[-1] = f_new
+            # numpy multiplies a complex array by h as complex(h, 0); from
+            # CPython 3.14 on, a complex times a float is componentwise,
+            # which can flip a signed zero
+            hc = complex(h)
+            K = [fy]
+            # _combine, inlined: a call per stage costs a quarter of this loop
+            for c, row in _STAGES:
+                y_new = []
+                for i, y_i in enumerate(y):
+                    acc = 0j
+                    for j, w in row:
+                        acc += K[j][i] * w
+                    y_new.append(y_i + acc * hc)
+                K.append(fun(t + c * h, y_new))
+            f_new = K[-1]
+            err5, err3 = _combine(K, _E5_ROW), _combine(K, _E3_ROW)
+            attempts += 1
+            # Python arithmetic gives inf or nan where numpy's raises under
+            # errstate; every stage feeds these, and finite ones hold the
+            # bits numpy's would
+            if not all(map(cmath.isfinite, y_new + err5 + err3)):
+                raise FloatingPointError(f"overflow encountered in the step from z={t}")
 
-            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            err5_norm_2 = np.linalg.norm(np.dot(k_all, _E5_COMPLEX) / scale) ** 2
-            err3_norm_2 = np.linalg.norm(np.dot(k_all, _E3_COMPLEX) / scale) ** 2
+            abs_new = np.abs(y_new)
+            scale = tol + np.maximum(abs_y, abs_new) * tol
+            err = np.array((err5, err3)) / scale
+            err5_norm_2, err3_norm_2 = _norm(err[0]) ** 2, _norm(err[1]) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0
             else:
@@ -327,10 +365,11 @@ def _dop853(fun: Callable[[float, np.ndarray], np.ndarray], a: float, b: float,
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
 
-        t, y, fy = t_new, y_new, f_new
+        t, y, fy, abs_y = t_new, y_new, f_new, abs_new
         ts.append(t)
         ys.append(y)
-    return np.array(ts), np.array(ys), nfev
+    # two evaluations choose the first step, then 12 per attempted step
+    return np.array(ts), np.array(ys), 2 + 12 * attempts
 
 
 def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,

@@ -11,7 +11,8 @@ import numpy as np
 from .coupler import simulate
 from .propagation import _check_coefficients, _check_tol
 from .schedules import ModelParams, adiabatic_transport, drive
-from .splitter import SplitterParams, _reduced_design, simulate_splitter, splitter_schedule
+from .splitter import (MODES, SplitterParams, _reduced_design, simulate_splitter,
+                       splitter_schedule)
 
 __all__ = [
     "AxisSpec",
@@ -82,8 +83,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis_x.name == self.axis_y.name:
             raise ValueError("the two sweep axes must differ")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        _check_metric(self.metric, self.splitter_mode)
         remaining = set(PARAMETERS) - {self.axis_x.name, self.axis_y.name}
         if set(self.fixed) != remaining:
             raise ValueError(f"fixed must provide exactly {sorted(remaining)}")
@@ -96,6 +96,14 @@ class SweepResult:
     x_values: np.ndarray
     y_values: np.ndarray
     backend: str
+
+
+def _check_metric(metric: str, splitter_mode: str) -> None:
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    # checked for every metric, so a typo fails before any cell runs
+    if splitter_mode not in MODES:
+        raise ValueError(f"splitter_mode must be one of {MODES}, got {splitter_mode!r}")
 
 
 def _closed_form_applies(metric: str, sta: bool, splitter_mode: str) -> bool:
@@ -115,8 +123,7 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     coefficients are checked finite at -L, 0-, 0+ and +L; every other
     point is integrated adaptively with tolerance tol.
     """
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    _check_metric(metric, splitter_mode)
     if omega0 == 0.0 or total_length == 0.0:
         # checked as any other point, except that length 0 is valid here
         ModelParams(omega0, delta0, 1.0 if total_length == 0.0 else total_length / 2.0)

@@ -7,6 +7,9 @@ tests/test_propagation.py::TestRhs checks that right-hand side against
 HamiltonianSpec.matrix.
 """
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -23,6 +26,7 @@ from sta_coupler.propagation import (
 )
 from sta_coupler.schedules import ModelParams
 from sta_coupler.splitter import SplitterParams, build_h3
+from test_propagation import GENERATORS, SIGMA_X
 from test_splitter import reduced_h2
 
 DESIGN = ModelParams(3.0, 0.2, 5.0, sta=True)
@@ -38,6 +42,9 @@ CASES = {
     "h3-direct": (build_h3(SplitterParams(DESIGN, "direct")), MIDDLE),
     "h3-reduced_cd": (build_h3(SplitterParams(DESIGN, "reduced_cd")), MIDDLE),
     "reduced-h2": (reduced_h2(SplitterParams(DESIGN, "reduced_cd")), GUIDE_2),
+    # a complex term, and every component of the state off both axes
+    "sigma-xyz": (GENERATORS["sigma-y"], np.array([0.6 - 0.48j, -0.36 + 0.53j]) / math.hypot(
+        0.6, 0.48, 0.36, 0.53)),
 }
 
 
@@ -48,7 +55,9 @@ def reference(h, c0, z_from, z_to, tol):
     zs, states, nfev = [], [], 0
     for a, b in _segments(h, z_from, z_to):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            sol = solve_ivp(_rhs(h, a, b), (a, b), c, method="DOP853", rtol=tol, atol=tol)
+            rhs = _rhs(h, a, b)
+            sol = solve_ivp(lambda z, y: rhs(z, y.tolist()), (a, b), c, method="DOP853",
+                            rtol=tol, atol=tol)
         assert sol.success, sol.message
         nfev += sol.nfev
         z, y = (sol.t, sol.y.T) if not zs else (sol.t[1:], sol.y.T[1:])
@@ -66,18 +75,22 @@ def test_tableau_is_scipys():
     for ours, theirs in pairs:
         assert ours.shape == theirs.shape
         assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
-    # the stages' nodes and complex weights are these, cast once
-    assert len(propagation._STAGES) == n - 1
-    for s, (c, a) in enumerate(propagation._STAGES, 1):
-        assert c == propagation._C[s]
-        assert a.dtype == complex and a.tobytes() == propagation._A[s, :s].astype(complex).tobytes()
-    for ours, real in [(propagation._B_COMPLEX, propagation._B),
-                       (propagation._E5_COMPLEX, propagation._E5),
-                       (propagation._E3_COMPLEX, propagation._E3)]:
-        assert ours.dtype == complex and ours.tobytes() == real.astype(complex).tobytes()
+    # the sparse Python rows hold every nonzero weight, in column order, as
+    # complex(w), and nothing else; the last stage, at node 1, has weights B
+    assert [c for c, _ in propagation._STAGES] == [*scipy_tableau.C[1:n], 1.0]
+    rows = [(row, scipy_tableau.A[s, :s]) for s, (c, row) in enumerate(propagation._STAGES[:-1], 1)]
+    rows += [(propagation._STAGES[-1][1], scipy_tableau.B),
+             (propagation._E5_ROW, scipy_tableau.E5), (propagation._E3_ROW, scipy_tableau.E3)]
+    for row, weights in rows:
+        columns = [j for j, _ in row]
+        assert columns == sorted(set(columns))
+        assert all(type(w) is complex and w != 0 for _, w in row)
+        dense = np.zeros(len(weights), dtype=complex)
+        dense[columns] = [w for _, w in row]
+        assert dense.tobytes() == weights.astype(complex).tobytes()
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-4])
+@pytest.mark.parametrize("tol", [1e-12, 1e-8, 1e-6, 1e-4])
 @pytest.mark.parametrize("case", list(CASES))
 def test_matches_solve_ivp(case, tol):
     h, c0 = CASES[case]
@@ -110,3 +123,17 @@ def test_overflow_matches_scipy():
         reference(h, GUIDE_1, -5.0, 5.0, 1e-6)
     assert str(ours.value) == f"{theirs.value} on [-5.0, 0.0]"
 
+
+@pytest.mark.parametrize("big", [1e150, 1e200, 1e300, 1e308])
+def test_overflow_inside_a_step_matches_scipy(big):
+    # past z = 0.5 the stages overflow in the middle of a step, where Python
+    # arithmetic gives inf or nan rather than raise; neither a StiffnessError
+    # nor a returned trajectory nor a warning may come out instead
+    h = HamiltonianSpec((SIGMA_X,), lambda z, side: (big if z > 0.5 else 1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError) as ours:
+            propagate_adaptive(h, GUIDE_1, 0.0, 1.0, 1e-6)
+        with pytest.raises(FloatingPointError):
+            reference(h, GUIDE_1, 0.0, 1.0, 1e-6)
+    assert str(ours.value).endswith(" on [0.0, 1.0]")

@@ -73,6 +73,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             metric_value("bogus", True, 1.0, 0.1, 1.0)
 
+    @pytest.mark.parametrize("metric", ["final_i2", "splitting_infidelity"])
+    def test_splitter_mode_checked(self, metric):
+        # even where no cell would build a splitter: with omega0 = 0 every
+        # cell is degenerate
+        with pytest.raises(ValueError, match=r"\('direct', 'reduced_cd'\), got 'bogus'"):
+            SweepSpec(axis_x=AxisSpec("delta0", 0.0, 1.0, 2),
+                      axis_y=AxisSpec("total_length", 0.0, 1.0, 2),
+                      fixed={"omega0": 0.0}, metric=metric, splitter_mode="bogus")
+        with pytest.raises(ValueError, match=r"\('direct', 'reduced_cd'\), got 'bogus'"):
+            metric_value(metric, True, 0.0, 0.1, 1.0, splitter_mode="bogus")
+
     @pytest.mark.parametrize("tol", [1.0, 1e-13, math.nan])
     @pytest.mark.parametrize("sta", [True, False])
     def test_tol_range(self, tol, sta):
