@@ -174,75 +174,69 @@ def _check_tol(tol: float) -> None:
 
 # Dormand-Prince 8(5,3) tableau as published with DOP853 (Hairer, Norsett &
 # Wanner, Solving Ordinary Differential Equations I, Sec. II.10, and their
-# dop853.f): the nonzero entries of stage rows 1-11 of A by column, then B.
-_A_ROWS: tuple[dict[int, float], ...] = (
-    {0: 5.26001519587677318785587544488e-2},
-    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
-    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
-    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
-     3: 9.24834003261792003115737966543e-1},
-    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
-     4: 1.25467687566822425016691814123e-1},
-    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
-     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
-    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
-     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
-     6: 8.27378916381402288758473766002e-3},
-    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
-     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
-     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
-    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
-     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
-     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
-     8: -2.03312017085086261358222928593e-2},
-    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
-     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
-     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
-     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
-    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
-     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
-     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
-     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
-     10: 6.43392746015763530355970484046e-1},
-    {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
-     6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
-     8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
-     10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2},
+# dop853.f): each stage's node and the nonzero entries of its row of A by
+# column, up to the last stage, at node 1 with the weights B.
+_TABLEAU: tuple[tuple[float, dict[int, float]], ...] = (
+    (0.526001519587677318785587544488e-01, {0: 5.26001519587677318785587544488e-2}),
+    (0.789002279381515978178381316732e-01, {0: 1.97250569845378994544595329183e-2,
+        1: 5.91751709536136983633785987549e-2}),
+    (0.118350341907227396726757197510, {0: 2.95875854768068491816892993775e-2,
+        2: 8.87627564304205475450678981324e-2}),
+    (0.281649658092772603273242802490, {0: 2.41365134159266685502369798665e-1,
+        2: -8.84549479328286085344864962717e-1, 3: 9.24834003261792003115737966543e-1}),
+    (0.333333333333333333333333333333, {0: 3.7037037037037037037037037037e-2,
+        3: 1.70828608729473871279604482173e-1, 4: 1.25467687566822425016691814123e-1}),
+    (0.25, {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+        4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2}),
+    (0.307692307692307692307692307692, {0: 3.70920001185047927108779319836e-2,
+        3: 1.70383925712239993810214054705e-1, 4: 1.07262030446373284651809199168e-1,
+        5: -1.53194377486244017527936158236e-2, 6: 8.27378916381402288758473766002e-3}),
+    (0.651282051282051282051282051282, {0: 6.24110958716075717114429577812e-1,
+        3: -3.36089262944694129406857109825, 4: -8.68219346841726006818189891453e-1,
+        5: 2.75920996994467083049415600797e1, 6: 2.01540675504778934086186788979e1,
+        7: -4.34898841810699588477366255144e1}),
+    (0.6, {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+        4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+        6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+        8: -2.03312017085086261358222928593e-2}),
+    (0.857142857142857142857142857142, {0: -9.3714243008598732571704021658e-1,
+        3: 5.18637242884406370830023853209, 4: 1.09143734899672957818500254654,
+        5: -8.14978701074692612513997267357, 6: -1.85200656599969598641566180701e1,
+        7: 2.27394870993505042818970056734e1, 8: 2.49360555267965238987089396762,
+        9: -3.0467644718982195003823669022}),
+    (1.0, {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+        4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+        6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+        8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+        10: 6.43392746015763530355970484046e-1}),
+    (1.0, {0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+        6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+        8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+        10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2}),
 )
-_A = np.array([[row.get(j, 0.0) for j in range(12)] for row in ({}, *_A_ROWS)])
-_B = _A[12]
-_C = np.array([
-    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
-    0.118350341907227396726757197510, 0.281649658092772603273242802490,
-    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
-    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0])
 # error estimators on the 12 stages and f(z + h): the 5th-order one, and B
 # minus the 3rd-order weights
-_E5 = np.zeros(13)
-_E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
-    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
-    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
-    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
-_E3 = np.zeros(13)
-_E3[:-1] = _B
+_E5 = {0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+       6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+       8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+       10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1}
+_E3 = dict(_TABLEAU[-1][1])
 _E3[0] -= 0.244094488188976377952755905512
 _E3[8] -= 0.733846688281611857341361741547
 _E3[11] -= 0.220588235294117647058823529412e-1
 
 
-def _sparse(weights: np.ndarray) -> tuple[tuple[int, complex], ...]:
-    return tuple((j, complex(w)) for j, w in enumerate(weights) if w)
+def _complex_row(weights: dict[int, float]) -> tuple[tuple[int, complex], ...]:
+    return tuple((j, complex(w)) for j, w in weights.items())
 
 
-# each stage's node and the nonzero weights of its row of A, then those of
-# E5 and E3, as (column, complex weight) in column order: numpy's dot casts
-# the weights to complex, and a zero weight adds a signed zero to a sum that
-# started at +0, which changes no bit.  The last stage, at node 1 with
-# weights B, gives y_new and f_new: t + 1.0 * h is t + h, and y + h * dy
+# the rows that run, as (column, complex weight) in column order: numpy's
+# dot casts the weights to complex, and the zero weights it would also add
+# each add a signed zero to a sum that started at +0, which changes no bit.
+# The last stage gives y_new and f_new: t + 1.0 * h is t + h, and y + h * dy
 # rounds as y + dy * h.
-_STAGES = tuple((c, _sparse(_A[s, :s])) for s, c in enumerate((*_C[1:], 1.0), 1))
-_E5_ROW, _E3_ROW = _sparse(_E5), _sparse(_E3)
+_STAGES = tuple((c, _complex_row(row)) for c, row in _TABLEAU)
+_E5_ROW, _E3_ROW = _complex_row(_E5), _complex_row(_E3)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _ERROR_EXPONENT = -1 / (7 + 1)  # the error estimator is of order 7
 
@@ -279,11 +273,9 @@ def _dop853(fun: Callable[[float, list], list], a: float, b: float,
     are combined in Python complex arithmetic, which rounds each product
     and sum as numpy does; the step size, the scale and the error norms
     stay numpy's, since Python's abs and sums of squares round otherwise.
+    Stepping is forward only, so scipy's direction, +1 here, is left out.
     """
     t0, t_bound = float(a), float(b)
-    # +1 as an np.float64: it makes the step arithmetic numpy's, which raises
-    # on overflow under np.errstate where Python floats would not
-    direction = np.sign(t_bound - t0)
     t, y = t0, y0
     fy = np.array(fun(t, y.tolist()))
 
@@ -294,7 +286,7 @@ def _dop853(fun: Callable[[float, list], list], a: float, b: float,
     d1 = _rms(fy / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = np.array(fun(t0 + h0 * direction, (y + h0 * direction * fy).tolist()))
+    f1 = np.array(fun(t0 + h0, (y + h0 * fy).tolist()))
     d2 = _rms((f1 - fy) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -305,8 +297,8 @@ def _dop853(fun: Callable[[float, list], list], a: float, b: float,
     abs_y, y, fy = np.abs(y), y.tolist(), fy.tolist()
     ts, ys = [t], [y]
     attempts = 0
-    while direction * (t - t_bound) < 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    while t - t_bound < 0:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -314,10 +306,12 @@ def _dop853(fun: Callable[[float, list], list], a: float, b: float,
             if h_abs < min_step:
                 raise StiffnessError(f"integration failed on [{a}, {b}]: Required step "
                                      "size is less than spacing between numbers.")
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0:
+            t_new = t + h_abs
+            if t_new - t_bound > 0:
                 t_new = t_bound
             h = t_new - t
+            # an np.float64 from here on, so that the step arithmetic raises on
+            # overflow as numpy's does; t + h_abs cannot pass b before it
             h_abs = np.abs(h)
 
             # numpy multiplies a complex array by h as complex(h, 0); from
@@ -383,8 +377,9 @@ def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
     nfev = 0
     for a, b in _segments(h, z_from, z_to):
         try:
-            # stop at an overflow, not when the step shrinks below the spacing
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
+            # stop at an overflow, not when the step shrinks below the spacing;
+            # underflow, as of min_step at z = 0, is no error in any caller's state
+            with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
                 seg_z, seg_states, seg_nfev = _dop853(_rhs(h, a, b), a, b, c, tol)
         except FloatingPointError as exc:
             raise FloatingPointError(f"{exc} on [{a}, {b}]") from exc

@@ -1,14 +1,17 @@
 import itertools
 import math
+import pickle
+import struct
+from functools import partial
 
 import numpy as np
 import pytest
 
 import adiabatic_oracle as oracle
 from sta_coupler.coupler import build_h2, simulate
-from sta_coupler.propagation import HamiltonianSpec
-from sta_coupler.schedules import ModelParams, adiabatic_transport
-from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter
+from sta_coupler.propagation import HamiltonianSpec, propagate_adaptive
+from sta_coupler.schedules import ModelParams, adiabatic_transport, drive
+from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter, splitter_schedule
 from sta_coupler.sweep import (
     AxisSpec,
     SweepSpec,
@@ -172,9 +175,46 @@ RATES = [5e-324, 1e-310, 1e-160, 1e-100, 1.0, 1e100, 1e154, 1e160, 1.79769313486
 HALF_LENGTHS = [5e-324, 1e-310, 1e-300, 1e-100, 1.0, 1e100, 1e300]
 
 
+# a seeded log-uniform sample of designs over the same range
+LOG_DESIGNS = (10.0 ** np.random.default_rng(16).uniform(-323.0, 308.0, size=(2000, 3))).tolist()
+
+
+def _bits(x):
+    # a NaN's sign bit follows no rule; that it is a NaN is what counts
+    return "nan" if math.isnan(x) else struct.pack("d", x)
+
+
+def _at(schedule, z, side):
+    try:
+        return schedule(z, side)
+    except (ArithmeticError, ValueError) as exc:  # compared with the mirror's class
+        return type(exc)
+
+
 class TestClosedFormGuard:
     """A closed-form cell fails where the integrator's generator would: the
-    generator is evaluated at -L, 0-, 0+ and +L first."""
+    generator is evaluated at -L and 0- first, whose mirrors +L and 0+ are
+    then finite too."""
+
+    @pytest.mark.parametrize("mode", ["drive", "reduced_cd"])
+    def test_mirror(self, mode):
+        # Omega is even in z and the mismatch odd, bit for bit, on both STA
+        # schedules the guard evaluates; a point raises where its mirror does
+        designs = [*itertools.product(RATES, [0.0, *RATES], HALF_LENGTHS), *LOG_DESIGNS]
+        raised = 0
+        for omega0, delta0, L in designs:
+            p = ModelParams(omega0, delta0, L, sta=True)
+            schedule = partial(drive, p) if mode == "drive" else partial(
+                splitter_schedule, SplitterParams(p))
+            for left, right in (((-L, 0), (L, 0)), ((0.0, -1), (0.0, +1))):
+                here, mirror = _at(schedule, *left), _at(schedule, *right)
+                if isinstance(here, type):
+                    assert mirror is here, (omega0, delta0, L, left)
+                    raised += 1
+                    continue
+                w, d = here
+                assert [*map(_bits, mirror)] == [_bits(w), _bits(-d)], (omega0, delta0, L, left)
+        assert 0 < raised < len(designs)
 
     @pytest.mark.parametrize("metric", ["final_i2", "splitting_infidelity"])
     def test_integrator_messages(self, metric):
@@ -220,6 +260,27 @@ class TestClosedFormGuard:
             for z in np.linspace(-L, L, 201).tolist():
                 h.matrix(z, -1)
         assert passed > 100
+
+
+class TestCallerErrorState:
+    def test_results_ignore_numpy_error_state(self):
+        # the integrator's smallest step is subnormal at z = 0, which must not
+        # fail a run under a caller's np.errstate(all="raise")
+        raw = ModelParams(3.0, 0.2, 5.0)
+        sta = ModelParams(3.0, 0.2, 5.0, sta=True)
+        runs = [
+            lambda: propagate_adaptive(build_h2(raw), np.array([1.0, 0.0], dtype=complex),
+                                       -5.0, 5.0, 1e-8),
+            lambda: simulate(sta, tol=1e-8),
+            lambda: simulate_splitter(SplitterParams(sta, "direct"), tol=1e-8),
+            lambda: metric_value("final_i2", False, 3.0, 0.2, 10.0),
+            lambda: run_sweep(small_spec(sta=False)),
+            lambda: run_sweep(small_spec()),
+            lambda: threshold_length(5.0, 1.0, sta=False, target=0.93),
+        ]
+        expected = [pickle.dumps(run()) for run in runs]
+        with np.errstate(all="raise"):
+            assert [pickle.dumps(run()) for run in runs] == expected
 
 
 class TestRunSweep:
