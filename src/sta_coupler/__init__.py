@@ -20,13 +20,8 @@ from .propagation import (  # noqa: F401
     propagate_adaptive,
     propagate_pwc,
 )
-from .coupler import CouplerResult, adiabatic_projection, build_h2, simulate  # noqa: F401
-from .splitter import (  # noqa: F401
-    SplitterParams,
-    SplitterResult,
-    build_h3,
-    simulate_splitter,
-)
+from .coupler import adiabatic_projection, build_h2, simulate  # noqa: F401
+from .splitter import SplitterParams, build_h3, simulate_splitter  # noqa: F401
 from .sweep import (  # noqa: F401
     AxisSpec,
     SweepSpec,

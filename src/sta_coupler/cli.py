@@ -211,8 +211,8 @@ def _emit_trajectory(args, traj: Trajectory) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    result = simulate(_model(args), input_guide=args.input_guide, tol=args.tol)
-    return _emit_trajectory(args, result.trajectory)
+    traj = simulate(_model(args), input_guide=args.input_guide, tol=args.tol)
+    return _emit_trajectory(args, traj)
 
 
 def _mode(args: argparse.Namespace, acts: bool, needs: str) -> str:
@@ -227,8 +227,7 @@ def _mode(args: argparse.Namespace, acts: bool, needs: str) -> str:
 
 def _cmd_splitter(args) -> int:
     sp = SplitterParams(_model(args), _mode(args, args.sta, "--sta"))
-    result = simulate_splitter(sp, tol=args.tol)
-    return _emit_trajectory(args, result.trajectory)
+    return _emit_trajectory(args, simulate_splitter(sp, tol=args.tol))
 
 
 def _cmd_sweep(args) -> int:

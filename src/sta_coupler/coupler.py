@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -10,14 +9,7 @@ import numpy as np
 from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
 from .schedules import ModelParams, drive, schedule_grid
 
-__all__ = ["CouplerResult", "build_h2", "simulate", "adiabatic_projection"]
-
-
-@dataclass(frozen=True)
-class CouplerResult:
-    trajectory: Trajectory
-    final_i2: float
-    adiabatic_populations: np.ndarray | None = None
+__all__ = ["build_h2", "simulate", "adiabatic_projection"]
 
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -31,20 +23,13 @@ def build_h2(p: ModelParams) -> HamiltonianSpec:
     return HamiltonianSpec((_SIGMA_X, _SIGMA_Z), partial(drive, p), discontinuities=(0.0,))
 
 
-def simulate(p: ModelParams, input_guide: int = 1, tol: float = 1e-10,
-             project: bool = False) -> CouplerResult:
+def simulate(p: ModelParams, input_guide: int = 1, tol: float = 1e-10) -> Trajectory:
     """Propagate light injected in one guide across the whole device."""
     if input_guide not in (1, 2):
         raise ValueError(f"input_guide must be 1 or 2, got {input_guide}")
     c0 = np.zeros(2, dtype=complex)
     c0[input_guide - 1] = 1.0
-    traj = propagate_adaptive(build_h2(p), c0, -p.half_length, p.half_length, tol)
-    populations = adiabatic_projection(p, traj) if project else None
-    return CouplerResult(
-        trajectory=traj,
-        final_i2=float(traj.final_intensities[1]),
-        adiabatic_populations=populations,
-    )
+    return propagate_adaptive(build_h2(p), c0, -p.half_length, p.half_length, tol)
 
 
 def adiabatic_projection(p: ModelParams, traj: Trajectory) -> np.ndarray:

@@ -25,12 +25,7 @@ import numpy as np
 from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
 from .schedules import ModelParams, _check_position, _closed_form, drive
 
-__all__ = [
-    "SplitterParams",
-    "SplitterResult",
-    "build_h3",
-    "simulate_splitter",
-]
+__all__ = ["SplitterParams", "build_h3", "simulate_splitter"]
 
 _SQRT2 = math.sqrt(2.0)
 MODES = ("direct", "reduced_cd")
@@ -48,13 +43,6 @@ class SplitterParams:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class SplitterResult:
-    trajectory: Trajectory
-    final_intensities: tuple[float, float, float]
-    splitting_infidelity: float
 
 
 def splitter_schedule(sp: SplitterParams, z: float, side: int = 0) -> tuple[float, float]:
@@ -82,14 +70,8 @@ def build_h3(sp: SplitterParams) -> HamiltonianSpec:
                            partial(splitter_schedule, sp), discontinuities=(0.0,))
 
 
-def simulate_splitter(sp: SplitterParams, tol: float = 1e-10) -> SplitterResult:
-    """Propagate middle-guide input and score the 50/50 split."""
+def simulate_splitter(sp: SplitterParams, tol: float = 1e-10) -> Trajectory:
+    """Propagate middle-guide input; the outer guides should end at I1 = I3 = 1/2."""
     L = sp.base.half_length
     c0 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    traj = propagate_adaptive(build_h3(sp), c0, -L, L, tol)
-    i1, i2, i3 = (float(x) for x in traj.final_intensities)
-    return SplitterResult(
-        trajectory=traj,
-        final_intensities=(i1, i2, i3),
-        splitting_infidelity=max(abs(i1 - 0.5), abs(i3 - 0.5)),
-    )
+    return propagate_adaptive(build_h3(sp), c0, -L, L, tol)

@@ -115,8 +115,10 @@ def _closed_form_applies(metric: str, sta: bool, splitter_mode: str) -> bool:
 def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
                  total_length: float, tol: float = 1e-8,
                  splitter_mode: str = "reduced_cd") -> float:
-    """Metric for one parameter point; degenerate points (zero coupling or
-    zero length) reduce to identity propagation of the input state.
+    """Metric for one parameter point: final_i2 is I2 for guide-1 input,
+    splitting_infidelity is max(|I1 - 1/2|, |I3 - 1/2|) for middle-guide
+    input.  Degenerate points (zero coupling or zero length) reduce to
+    identity propagation of the input state.
 
     STA final_i2 and STA reduced_cd splitting_infidelity are evaluated in
     closed form (:func:`adiabatic_transport`), after the integrator's
@@ -133,9 +135,10 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
                     half_length=total_length / 2.0, sta=sta)
     if not _closed_form_applies(metric, sta, splitter_mode):
         if metric == "final_i2":
-            return simulate(p, input_guide=1, tol=tol).final_i2
-        return simulate_splitter(SplitterParams(p, splitter_mode),
-                                 tol=tol).splitting_infidelity
+            return float(simulate(p, input_guide=1, tol=tol).final_intensities[1])
+        traj = simulate_splitter(SplitterParams(p, splitter_mode), tol=tol)
+        i1, _, i3 = (float(x) for x in traj.final_intensities)
+        return max(abs(i1 - 0.5), abs(i3 - 0.5))
     if metric == "final_i2":
         coefficients, design = partial(drive, p), (omega0, delta0)
     else:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import adiabatic_oracle as oracle
-from sta_coupler.coupler import build_h2, simulate
+from sta_coupler.coupler import adiabatic_projection, build_h2, simulate
 from sta_coupler.propagation import propagate_adaptive, propagate_pwc
 from sta_coupler.schedules import (
     ModelParams,
@@ -105,8 +105,8 @@ def test_acceptance_3_reference_transfer(report):
     # The model's exact transfer at the reference design is 0.998770820857,
     # set by the mixing angle at the edges and at the sign flip; the
     # program must reproduce it and beat the raw schedule.
-    sta = simulate(REF, tol=1e-10).final_i2
-    raw = simulate(REF_RAW, tol=1e-10).final_i2
+    sta = simulate(REF, tol=1e-10).final_intensities[1]
+    raw = simulate(REF_RAW, tol=1e-10).final_intensities[1]
     expected = float(oracle.sta_transfer(REF.omega0, REF.delta0, REF.total_length))
     ok = raw < sta and abs(sta - expected) <= 1e-8
     report(3, "reference transfer curves", ok)
@@ -148,7 +148,7 @@ def test_acceptance_5_beam_splitter(report):
     # mixing angles; the oracle runs that system exactly.
     res = simulate_splitter(SplitterParams(REF, "reduced_cd"), tol=1e-10)
     i1, i2, i3 = res.final_intensities
-    leakage = max(abs(c[0] - c[2]) for c in res.trajectory.states)
+    leakage = max(abs(c[0] - c[2]) for c in res.states)
     o1, o2, _ = oracle.reduced_cd_splitter(REF.omega0, REF.delta0, REF.half_length)
     equal = abs(i1 - i3) <= 1e-10
     matches = abs(i1 - o1) <= 1e-8 and abs(i2 - o2) <= 1e-8
@@ -200,7 +200,7 @@ def test_acceptance_6_backend_equivalence(report):
 
 def test_acceptance_7_property_suite(report):
     # unitarity
-    traj = simulate(REF, tol=1e-11).trajectory
+    traj = simulate(REF, tol=1e-11)
     unitary = traj.norm_drift <= 1e-9
 
     # schedule symmetries: even coupling terms, odd mismatch terms
@@ -233,9 +233,9 @@ def test_acceptance_7_property_suite(report):
     )
 
     # per-half dressed-population conservation
-    res = simulate(REF, tol=1e-12, project=True)
-    z = res.trajectory.z
-    pops = res.adiabatic_populations[:, 0]
+    res = simulate(REF, tol=1e-12)
+    z = res.z
+    pops = adiabatic_projection(REF, res)[:, 0]
     left, right = pops[z <= 0.0], pops[z > 0.0]
     conserved = (np.max(np.abs(left - left[0])) <= 1e-5
                  and np.max(np.abs(right - right[-1])) <= 1e-5)

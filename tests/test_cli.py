@@ -562,6 +562,17 @@ class TestConfig:
         code, _, _ = run(capsys, "check", "--config", str(cfg))
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("doc, message", [
+        ([], "config must contain exactly one top-level command object"),
+        ({"check": {}, "profile": {}}, "config must contain exactly one top-level command object"),
+        ({"check": [1.5]}, "command object must be a JSON object"),
+    ], ids=["list", "two-commands", "not-an-object"])
+    def test_malformed_document_rejected(self, doc, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--config", str(cfg))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
     def test_config_axis_strings(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sweep": {

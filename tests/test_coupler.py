@@ -48,28 +48,28 @@ class TestSimulate:
     def test_reference_sta_transfer(self):
         # frozen regression value, cross-validated between both backends
         r = simulate(FIG3_STA, tol=1e-10)
-        assert r.final_i2 == pytest.approx(0.998771, abs=5e-6)
+        assert r.final_intensities[1] == pytest.approx(0.998771, abs=5e-6)
 
     def test_reference_raw_transfer(self):
         r = simulate(FIG3_RAW, tol=1e-10)
-        assert r.final_i2 == pytest.approx(0.350714, abs=5e-6)
+        assert r.final_intensities[1] == pytest.approx(0.350714, abs=5e-6)
 
     def test_sta_beats_raw_at_reference_point(self):
-        assert simulate(FIG3_STA).final_i2 > simulate(FIG3_RAW).final_i2
+        assert simulate(FIG3_STA).final_intensities[1] > simulate(FIG3_RAW).final_intensities[1]
 
     def test_zero_coupling_is_identity(self):
         p = ModelParams(omega0=0.0, delta0=0.1, half_length=5.0, sta=True)
         r = simulate(p, tol=1e-10)
-        assert r.final_i2 == pytest.approx(0.0, abs=1e-12)
-        assert r.trajectory.final_intensities[0] == pytest.approx(1.0, abs=1e-9)
+        assert r.final_intensities[1] == pytest.approx(0.0, abs=1e-12)
+        assert r.final_intensities[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_input_guide_symmetry(self):
         # the generator is symmetric with delta -> -delta under guide swap;
         # transfer efficiency is the same from either input
         r1 = simulate(FIG3_STA, input_guide=1, tol=1e-11)
         r2 = simulate(FIG3_STA, input_guide=2, tol=1e-11)
-        assert r2.trajectory.final_intensities[0] == pytest.approx(
-            r1.final_i2, abs=1e-8)
+        assert r2.final_intensities[0] == pytest.approx(
+            r1.final_intensities[1], abs=1e-8)
 
     def test_invalid_input_guide(self):
         with pytest.raises(ValueError):
@@ -77,27 +77,27 @@ class TestSimulate:
 
     def test_trajectory_conserves_norm(self):
         r = simulate(FIG3_STA, tol=1e-11)
-        assert r.trajectory.norm_drift < 1e-9
+        assert r.norm_drift < 1e-9
 
     def test_endpoints(self):
         r = simulate(FIG3_STA)
-        assert r.trajectory.z[0] == -12.5
-        assert r.trajectory.z[-1] == 12.5
-        assert r.trajectory.intensities[0, 0] == pytest.approx(1.0)
+        assert r.z[0] == -12.5
+        assert r.z[-1] == 12.5
+        assert r.intensities[0, 0] == pytest.approx(1.0)
 
 
 class TestAdiabaticProjection:
     def test_populations_sum_to_one(self):
-        r = simulate(FIG3_STA, tol=1e-11, project=True)
-        sums = r.adiabatic_populations.sum(axis=1)
+        r = simulate(FIG3_STA, tol=1e-11)
+        sums = adiabatic_projection(FIG3_STA, r).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-9
 
     def test_transitionless_following_within_each_half(self):
         # with the counterdiabatic terms the dressed-state population is
         # conserved exactly on each side of the sign flip
-        r = simulate(FIG3_STA, tol=1e-12, project=True)
-        z = r.trajectory.z
-        pops = r.adiabatic_populations[:, 0]
+        r = simulate(FIG3_STA, tol=1e-12)
+        z = r.z
+        pops = adiabatic_projection(FIG3_STA, r)[:, 0]
         left = pops[z <= 0.0]
         right = pops[z > 0.0]
         assert np.max(np.abs(left - left[0])) < 1e-9
@@ -105,8 +105,8 @@ class TestAdiabaticProjection:
 
     def test_raw_schedule_shows_diabatic_leakage(self):
         # without the correction the population is NOT conserved
-        r = simulate(FIG3_RAW, tol=1e-11, project=True)
-        pops = r.adiabatic_populations[:, 0]
+        r = simulate(FIG3_RAW, tol=1e-11)
+        pops = adiabatic_projection(FIG3_RAW, r)[:, 0]
         assert np.max(np.abs(pops - pops[0])) > 0.01
 
     def test_projection_requires_two_levels(self):
@@ -115,6 +115,3 @@ class TestAdiabaticProjection:
                          backend="x")
         with pytest.raises(ValueError):
             adiabatic_projection(FIG3_STA, bad)
-
-    def test_default_skips_projection(self):
-        assert simulate(FIG3_STA).adiabatic_populations is None

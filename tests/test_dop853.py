@@ -42,6 +42,9 @@ CASES = {
     "h3-direct": (build_h3(SplitterParams(DESIGN, "direct")), MIDDLE),
     "h3-reduced_cd": (build_h3(SplitterParams(DESIGN, "reduced_cd")), MIDDLE),
     "reduced-h2": (reduced_h2(SplitterParams(DESIGN, "reduced_cd")), GUIDE_2),
+    # no coupling and no mismatch: the initial step sees d1 = d2 = 0, and
+    # every error norm is 0
+    "h2-zero-guide1": (build_h2(ModelParams(0, 0, 5)), GUIDE_1),
     # a complex term, and every component of the state off both axes
     "sigma-xyz": (GENERATORS["sigma-y"], np.array([0.6 - 0.48j, -0.36 + 0.53j]) / math.hypot(
         0.6, 0.48, 0.36, 0.53)),

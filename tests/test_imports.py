@@ -1,0 +1,35 @@
+"""Every name a module of the package imports is used in it, so a deletion
+cannot leave an import behind.  Standard library only: each module's source
+is parsed with ast, not imported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "sta_coupler").glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_sources_found():
+    assert MODULES, "no package modules found next to the tests"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(imported_names(tree) - used_names(tree)) == []

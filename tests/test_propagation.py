@@ -42,6 +42,18 @@ class TestValidation:
             with pytest.raises(ValueError, match="not normalized"):
                 propagate_pwc(constant_h2(0, 1), np.array(state), 0, 1, 10)
 
+    def test_wrong_shape_state_rejected(self):
+        for state in ([1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]]):
+            with pytest.raises(ValueError, match=r"must have shape \(2,\)"):
+                propagate_adaptive(constant_h2(0, 1), np.array(state), 0, 1)
+            with pytest.raises(ValueError, match=r"must have shape \(2,\)"):
+                propagate_pwc(constant_h2(0, 1), np.array(state), 0, 1, 10)
+
+    def test_non_positive_steps_rejected(self):
+        for steps in (0, -1):
+            with pytest.raises(ValueError, match=f"steps must be >= 1, got {steps}"):
+                propagate_pwc(constant_h2(0, 1), UP, 0, 1, steps)
+
     def test_tol_range(self):
         for tol in (1e-13, 1e-3):
             with pytest.raises(ValueError):
@@ -248,6 +260,18 @@ class TestBackendCrossValidation:
         e2 = np.max(np.abs(propagate_pwc(h, UP, -12.5, 12.5, 4000).final_state - ref))
         assert e1 / e2 == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("sta, mode", [(True, "reduced_cd"), (True, "direct"),
+                                           (False, "direct")], ids=["reduced_cd", "direct", "raw"])
+    def test_richardson_on_splitter(self, sta, mode):
+        # 3x3 cells take the eigh branch of the cell unitary
+        h = build_h3(SplitterParams(ModelParams(1.5, 0.1, 12.5, sta=sta), mode))
+        c0 = np.array([0, 1, 0], dtype=complex)
+        ref = propagate_adaptive(h, c0, -12.5, 12.5, 1e-12).final_state
+        coarse, fine = (propagate_pwc(h, c0, -12.5, 12.5, n).final_state for n in (2000, 4000))
+        ratio = np.max(np.abs(coarse - ref)) / np.max(np.abs(fine - ref))
+        assert ratio == pytest.approx(4.0, abs=0.3)
+        assert np.max(np.abs((4 * fine - coarse) / 3 - ref)) <= 1e-10
+
     @settings(max_examples=8, deadline=None)
     @given(st.floats(0.3, 4.0), st.floats(0.05, 1.5), st.floats(2.0, 20.0),
            st.booleans())
@@ -264,6 +288,10 @@ class TestInvariants:
         h = build_h2(FIG3)
         traj = propagate_pwc(h, UP, -12.5, 12.5, steps=5000)
         assert traj.norm_drift < 1e-12
+
+    def test_pwc_zero_generator_leaves_state_unchanged(self):
+        traj = propagate_pwc(build_h2(ModelParams(0, 0, 5)), UP, -5.0, 5.0, steps=10)
+        assert traj.states.tobytes() == np.tile(UP, (11, 1)).tobytes()
 
     def test_adaptive_norm_drift_small(self):
         h = build_h2(FIG3)

@@ -11,9 +11,9 @@ import pytest
 import sta_coupler
 
 PACKAGE = [
-    "AxisSpec", "CouplerResult", "Diagnostics", "GeometryCalibration",
+    "AxisSpec", "Diagnostics", "GeometryCalibration",
     "HamiltonianSpec", "ModelParams", "SchedulePoint", "SplitterParams",
-    "SplitterResult", "SweepResult", "SweepSpec", "TargetNotReached",
+    "SweepResult", "SweepSpec", "TargetNotReached",
     "ThresholdResult", "Trajectory", "adiabatic_projection", "adiabatic_transport",
     "build_h2",
     "build_h3", "diagnostics", "drive", "effective_schedule",
@@ -25,7 +25,7 @@ PACKAGE = [
 # None: the module's interface is the command line, which test_cli pins
 MODULES = {
     "cli": None,
-    "coupler": ["CouplerResult", "adiabatic_projection", "build_h2", "simulate"],
+    "coupler": ["adiabatic_projection", "build_h2", "simulate"],
     "propagation": ["HamiltonianSpec", "StiffnessError", "Trajectory",
                     "propagate_adaptive", "propagate_pwc"],
     "schedules": ["CalibrationDomainError", "Diagnostics", "DiscontinuityError",
@@ -33,7 +33,7 @@ MODULES = {
                   "adiabatic_transport", "diagnostics", "drive", "effective_schedule",
                   "geometry_synthesis", "schedule_grid"],
     "serialize": ["format_float", "write_csv", "write_json"],
-    "splitter": ["SplitterParams", "SplitterResult", "build_h3", "simulate_splitter"],
+    "splitter": ["SplitterParams", "build_h3", "simulate_splitter"],
     "sweep": ["AxisSpec", "SweepResult", "SweepSpec", "TargetNotReached",
               "ThresholdResult", "metric_value", "robust_region_fraction",
               "run_sweep", "threshold_length"],

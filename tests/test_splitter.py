@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sta_coupler import splitter
-from sta_coupler.propagation import HamiltonianSpec, propagate_adaptive
+from sta_coupler.propagation import HamiltonianSpec, Trajectory, propagate_adaptive
 from sta_coupler.schedules import ModelParams, effective_schedule
 from sta_coupler.splitter import (
     SplitterParams,
@@ -17,6 +17,12 @@ from sta_coupler.splitter import (
 BASE = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=True)
 BASE_RAW = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=False)
 ROBUST = ModelParams(omega0=3.0, delta0=0.2, half_length=5.0, sta=True)  # acceptance 8
+
+
+def splitting_infidelity(traj: Trajectory) -> float:
+    """max(|I1 - 1/2|, |I3 - 1/2|) of the final state, as metric_value scores it."""
+    i1, _, i3 = (float(x) for x in traj.final_intensities)
+    return max(abs(i1 - 0.5), abs(i3 - 0.5))
 
 
 def reduced_h2(sp: SplitterParams) -> HamiltonianSpec:
@@ -100,12 +106,12 @@ class TestSimulateSplitter:
         # middle-guide input has no overlap with the dark state and the
         # generator cannot create one: the dark amplitude is exactly zero
         r = simulate_splitter(SplitterParams(BASE), tol=1e-10)
-        c = r.trajectory.states
+        c = r.states
         assert np.max(np.abs((c[:, 0] - c[:, 2]) / math.sqrt(2.0))) == 0.0
 
     def test_outer_guides_identical(self):
         r = simulate_splitter(SplitterParams(BASE), tol=1e-10)
-        i = r.trajectory.intensities
+        i = r.intensities
         assert np.max(np.abs(i[:, 0] - i[:, 2])) < 1e-12
 
     def test_reduction_residual_small(self):
@@ -115,7 +121,7 @@ class TestSimulateSplitter:
             raw = ModelParams(base.omega0, base.delta0, L, sta=False)
             for sp in (SplitterParams(raw), SplitterParams(base, "direct"),
                        SplitterParams(base, "reduced_cd")):
-                c = simulate_splitter(sp, tol=1e-10).trajectory.final_state
+                c = simulate_splitter(sp, tol=1e-10).final_state
                 ref = propagate_adaptive(reduced_h2(sp), np.array([0.0, 1.0], dtype=complex),
                                          -L, L, 1e-10).final_state
                 bright, middle = (c[0] + c[2]) / math.sqrt(2.0), c[1]
@@ -140,20 +146,20 @@ class TestSimulateSplitter:
         i1, i2, i3 = r.final_intensities
         assert i1 == pytest.approx(0.494133, abs=5e-6)
         assert i3 == pytest.approx(0.494133, abs=5e-6)
-        assert r.splitting_infidelity == pytest.approx(0.005867, abs=5e-6)
+        assert splitting_infidelity(r) == pytest.approx(0.005867, abs=5e-6)
 
     def test_reference_direct_split(self):
         r = simulate_splitter(SplitterParams(BASE, "direct"), tol=1e-10)
-        assert r.splitting_infidelity == pytest.approx(0.004101, abs=5e-6)
+        assert splitting_infidelity(r) == pytest.approx(0.004101, abs=5e-6)
 
     def test_sta_beats_raw(self):
         sta = simulate_splitter(SplitterParams(BASE, "reduced_cd"), tol=1e-9)
         raw = simulate_splitter(SplitterParams(BASE_RAW), tol=1e-9)
-        assert sta.splitting_infidelity < raw.splitting_infidelity
+        assert splitting_infidelity(sta) < splitting_infidelity(raw)
 
     def test_norm_conserved(self):
         r = simulate_splitter(SplitterParams(BASE), tol=1e-10)
-        assert r.trajectory.norm_drift < 1e-8
+        assert r.norm_drift < 1e-8
 
     @pytest.mark.xfail(
         strict=True,
@@ -166,4 +172,4 @@ class TestSimulateSplitter:
     def test_reduced_cd_not_worse_than_direct(self):
         reduced = simulate_splitter(SplitterParams(BASE, "reduced_cd"), tol=1e-10)
         direct = simulate_splitter(SplitterParams(BASE, "direct"), tol=1e-10)
-        assert reduced.splitting_infidelity <= direct.splitting_infidelity
+        assert splitting_infidelity(reduced) <= splitting_infidelity(direct)

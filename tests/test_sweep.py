@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import adiabatic_oracle as oracle
+from test_splitter import splitting_infidelity
 from sta_coupler.coupler import build_h2, simulate
 from sta_coupler.propagation import HamiltonianSpec, propagate_adaptive
 from sta_coupler.schedules import ModelParams, adiabatic_transport, drive
@@ -121,9 +122,9 @@ class TestMetricValue:
             p = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=sta)
             value = metric_value("final_i2", sta, 1.5, 0.1, 25.0)
             if sta:
-                assert abs(value - simulate(p, tol=1e-10).final_i2) <= 1e-8
+                assert abs(value - simulate(p, tol=1e-10).final_intensities[1]) <= 1e-8
             else:
-                assert value == simulate(p, tol=1e-8).final_i2
+                assert value == simulate(p, tol=1e-8).final_intensities[1]
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_sta_is_closed_form(self, design):
@@ -140,18 +141,18 @@ class TestMetricValue:
     def test_sta_matches_integration(self, design):
         p = ModelParams(design[0], design[1], design[2] / 2.0, sta=True)
         assert abs(metric_value("final_i2", True, *design)
-                   - simulate(p, tol=1e-10).final_i2) <= 1e-8
+                   - simulate(p, tol=1e-10).final_intensities[1]) <= 1e-8
         split = simulate_splitter(SplitterParams(p, "reduced_cd"), tol=1e-10)
         assert abs(metric_value("splitting_infidelity", True, *design)
-                   - split.splitting_infidelity) <= 1e-8
+                   - splitting_infidelity(split)) <= 1e-8
 
     @pytest.mark.parametrize("design", DESIGNS[:3])
     def test_integrated_cells_match_simulation(self, design):
         p = ModelParams(design[0], design[1], design[2] / 2.0, sta=False)
-        assert metric_value("final_i2", False, *design) == simulate(p, tol=1e-8).final_i2
+        assert metric_value("final_i2", False, *design) == simulate(p, tol=1e-8).final_intensities[1]
         direct = SplitterParams(ModelParams(p.omega0, p.delta0, p.half_length, True), "direct")
         assert (metric_value("splitting_infidelity", True, *design, splitter_mode="direct")
-                == simulate_splitter(direct, tol=1e-8).splitting_infidelity)
+                == splitting_infidelity(simulate_splitter(direct, tol=1e-8)))
 
     def test_degenerate_zero_coupling(self):
         assert metric_value("final_i2", True, 0.0, 0.1, 10.0) == 0.0
