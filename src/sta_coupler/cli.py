@@ -4,8 +4,8 @@ Subcommands: profile, simulate, splitter, sweep, threshold, check.
 A JSON config file (``--config``) may supply any option; its entries are
 parsed as flags placed before the command line, so they get the same checks
 and explicit flags override them.  Exit codes: 0 success, 2 argument, config
-or file error, 3 numerical failure (including a non-finite or overflowing
-schedule or integration).
+or file error or a grid too large to allocate, 3 numerical failure (including
+a non-finite or overflowing schedule or integration).
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             # argv[0] is the command; config tokens go first so flags win
             args = parser.parse_args([argv[0], *_config_argv(args), *argv[1:]])
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, StiffnessError, TargetNotReached) as exc:

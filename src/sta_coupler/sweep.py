@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import operator
+import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -55,6 +57,10 @@ class AxisSpec:
         for bound in ("lo", "hi"):
             if not math.isfinite(getattr(self, bound)):
                 raise ValueError(f"axis {bound} must be finite, got {getattr(self, bound)}")
+        try:
+            operator.index(self.count)
+        except TypeError:
+            raise ValueError(f"axis count must be an integer, got {self.count!r}") from None
         if self.count < 2:
             raise ValueError(f"axis count must be >= 2, got {self.count}")
         if not self.lo < self.hi:
@@ -151,41 +157,31 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
-    """Evaluate the metric over the rectangular grid.
+    """Evaluate the metric over the rectangular grid, one cell after another
+    and row-major over the y axis.  The result's backend names how the cells
+    were evaluated (see :func:`metric_value`).
 
-    Cells are independent; with workers > 1 they are farmed out to a
-    thread pool but each result lands in its own grid slot, so the output
-    is bit-identical regardless of parallelism or execution order.  The
-    result's backend names how the cells were evaluated (see
-    :func:`metric_value`).
+    workers is deprecated and ignored: the cells are GIL-bound Python, so a
+    thread pool never sped them up, and they always run serially.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if workers > 1:
+        warnings.warn("run_sweep evaluates its cells serially; workers is "
+                      "deprecated and ignored", DeprecationWarning, stacklevel=2)
     xs = spec.axis_x.values
     ys = spec.axis_y.values
-    grid = np.empty((len(ys), len(xs)))
-
-    def cell(idx: tuple[int, int]) -> None:
-        i, j = idx
-        params = dict(spec.fixed)
-        params[spec.axis_x.name] = float(xs[j])
-        params[spec.axis_y.name] = float(ys[i])
-        grid[i, j] = metric_value(spec.metric, spec.sta, tol=spec.tol,
-                                  splitter_mode=spec.splitter_mode, **params)
-
-    indices = [(i, j) for i in range(len(ys)) for j in range(len(xs))]
-    if workers > 1:
-        # imported here, so that a serial run and the CLI do not load it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(cell, indices))
-    else:
-        for idx in indices:
-            cell(idx)
+    rows = []
+    for y in ys:
+        row = []
+        for x in xs:
+            params = {**spec.fixed, spec.axis_x.name: float(x), spec.axis_y.name: float(y)}
+            row.append(metric_value(spec.metric, spec.sta, tol=spec.tol,
+                                    splitter_mode=spec.splitter_mode, **params))
+        rows.append(row)
 
     closed = _closed_form_applies(spec.metric, spec.sta, spec.splitter_mode)
-    return SweepResult(grid=grid, x_values=xs, y_values=ys,
+    return SweepResult(grid=np.array(rows), x_values=xs, y_values=ys,
                        backend="adiabatic-closed-form" if closed else "adaptive-dop853")
 
 

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 import adiabatic_oracle as oracle
+from test_sweep import LOOP_SPECS, cell_loop
 from sta_coupler.coupler import adiabatic_projection, build_h2, simulate
 from sta_coupler.propagation import propagate_adaptive, propagate_pwc
 from sta_coupler.schedules import (
@@ -240,25 +241,24 @@ def test_acceptance_7_property_suite(report):
     conserved = (np.max(np.abs(left - left[0])) <= 1e-5
                  and np.max(np.abs(right - right[-1])) <= 1e-5)
 
-    # sweep determinism: serial and parallel runs bit-identical, for the
-    # closed-form STA cells and the integrated raw ones
-    deterministic = True
-    for sta in (True, False):
+    # a sweep is its cells: run_sweep equals an independent metric_value
+    # loop bit for bit, for the closed-form STA cells and the integrated
+    # raw and direct-splitter ones
+    matches_loop = True
+    for kw in LOOP_SPECS:
         spec = SweepSpec(axis_x=AxisSpec("omega0", 0.5, 3.0, 5),
                          axis_y=AxisSpec("delta0", 0.0, 0.5, 4),
-                         fixed={"total_length": 10.0}, metric="final_i2",
-                         sta=sta, tol=1e-7)
-        deterministic &= np.array_equal(run_sweep(spec, workers=1).grid,
-                                        run_sweep(spec, workers=4).grid)
+                         fixed={"total_length": 10.0}, tol=1e-7, **kw)
+        matches_loop &= run_sweep(spec).grid.tobytes() == cell_loop(spec).tobytes()
 
-    ok = unitary and sym and fd_ok and noop and conserved and deterministic
+    ok = unitary and sym and fd_ok and noop and conserved and matches_loop
     report(7, "property suite", ok)
     assert unitary
     assert sym
     assert fd_ok
     assert noop
     assert conserved
-    assert deterministic
+    assert matches_loop
 
 
 def test_acceptance_8_robustness_ordering(report):

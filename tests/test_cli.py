@@ -278,11 +278,40 @@ class TestCheck:
         assert proc.returncode == 0, proc.stderr
 
     def test_import_leaves_out_the_thread_pool(self):
-        # only run_sweep(workers > 1) uses concurrent.futures, so importing
-        # the CLI, which every command pays for, does not load it
-        proc = run_python("import sys, sta_coupler.cli\n"
-                          "assert 'concurrent.futures' not in sys.modules\n")
+        # sweeps run serially, whatever workers asks for, so neither the CLI
+        # import, which every command pays for, nor a sweep loads a pool
+        proc = run_python(
+            "import sys, warnings, sta_coupler.cli\n"
+            "from sta_coupler.sweep import AxisSpec, SweepSpec, run_sweep\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "spec = SweepSpec(AxisSpec('omega0', 0.5, 3.0, 3), AxisSpec('delta0', 0.0, 0.5, 2),\n"
+            "                 {'total_length': 10.0}, sta=False, tol=1e-6)\n"
+            "with warnings.catch_warnings(record=True):\n"
+            "    run_sweep(spec, workers=4)\n"
+            "assert 'concurrent.futures' not in sys.modules\n")
         assert proc.returncode == 0, proc.stderr
+
+
+class TestImpossibleGrid:
+    # numpy refuses 10**13 samples before it allocates anything; never use a
+    # count that it would try to allocate
+    HUGE = "10000000000000"
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", *MODEL, "--samples", HUGE],
+        ["check", *MODEL, "--samples", HUGE],
+        ["sweep", "--axis-x", f"omega0:0:1:{HUGE}", "--axis-y", "delta0:0:1:2",
+         "--total-length", "10", "--format", "json"],
+    ], ids=["profile", "check", "sweep"])
+    def test_exits_as_usage_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, *argv, "--output", str(out))
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: Unable to allocate")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestRemovedOptions:

@@ -36,6 +36,28 @@ def small_spec(metric="final_i2", sta=True, tol=1e-8, **kw):
     )
 
 
+def cell_loop(spec):
+    """spec's grid from a nested metric_value loop that shares no code with
+    run_sweep: rows over the y axis, columns over the x axis."""
+    xs = np.linspace(spec.axis_x.lo, spec.axis_x.hi, spec.axis_x.count)
+    ys = np.linspace(spec.axis_y.lo, spec.axis_y.hi, spec.axis_y.count)
+    grid = np.empty((len(ys), len(xs)))
+    for i, y in enumerate(ys):
+        for j, x in enumerate(xs):
+            point = dict(spec.fixed)
+            point[spec.axis_x.name] = float(x)
+            point[spec.axis_y.name] = float(y)
+            grid[i, j] = metric_value(spec.metric, spec.sta, point["omega0"], point["delta0"],
+                                      point["total_length"], tol=spec.tol,
+                                      splitter_mode=spec.splitter_mode)
+    return grid
+
+
+# one closed-form and two integrated sweeps: STA final_i2, raw final_i2 and
+# the direct splitter's splitting_infidelity
+LOOP_SPECS = [{}, {"sta": False}, {"metric": "splitting_infidelity", "splitter_mode": "direct"}]
+
+
 class TestValidation:
     def test_axis_name(self):
         with pytest.raises(ValueError):
@@ -44,6 +66,15 @@ class TestValidation:
     def test_axis_count(self):
         with pytest.raises(ValueError):
             AxisSpec("omega0", 0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("count", [2.0, "3", None])
+    def test_axis_count_integer(self, count):
+        # checked here, not as a TypeError from the first sweep
+        with pytest.raises(ValueError, match=f"axis count must be an integer, got {count!r}"):
+            AxisSpec("omega0", 0.0, 1.0, count)
+
+    def test_axis_count_numpy_integer(self):
+        assert AxisSpec("omega0", 0.0, 1.0, np.int64(3)).values.tolist() == [0.0, 0.5, 1.0]
 
     def test_axis_ordering(self):
         with pytest.raises(ValueError):
@@ -300,12 +331,17 @@ class TestRunSweep:
         assert np.all(res.grid >= 0.0)
         assert np.all(res.grid <= 1.0 + 1e-9)
 
-    def test_parallel_determinism(self):
-        # the raw spec runs the integrator in the pool, the STA one the closed form
-        for spec in (small_spec(), small_spec(sta=False)):
-            serial = run_sweep(spec, workers=1)
-            parallel = run_sweep(spec, workers=4)
-            assert np.array_equal(serial.grid, parallel.grid)
+    @pytest.mark.parametrize("kw", LOOP_SPECS, ids=["sta", "raw", "direct-splitter"])
+    def test_equals_cell_loop(self, kw):
+        spec = small_spec(**kw)
+        assert run_sweep(spec).grid.tobytes() == cell_loop(spec).tobytes()
+
+    def test_workers_deprecated(self):
+        spec = small_spec(sta=False)
+        with pytest.warns(DeprecationWarning, match="serially") as record:
+            grid = run_sweep(spec, workers=4).grid
+        assert len(record) == 1
+        assert grid.tobytes() == run_sweep(spec).grid.tobytes()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_must_be_positive(self, workers):
