@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -165,6 +166,8 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _model(args: argparse.Namespace) -> ModelParams:
     _require(args, "omega0", "delta0", "total_length")
+    if not 0.0 < args.total_length < math.inf:  # as given; ModelParams sees half of it
+        raise ValueError(f"--total-length must be finite and > 0, got {args.total_length}")
     return ModelParams(omega0=args.omega0, delta0=args.delta0,
                        half_length=args.total_length / 2.0, sta=args.sta)
 

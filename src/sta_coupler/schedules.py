@@ -41,6 +41,19 @@ __all__ = [
 ]
 
 
+def check_finite(name: str, value, minimum: float = -math.inf) -> None:
+    """Raise ValueError naming the field unless value is a finite real
+    number of at least minimum."""
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError):  # not a real number, or an int beyond float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
+
+
 class DiscontinuityError(ValueError):
     """Untagged evaluation at the sign-flip point z = 0."""
 
@@ -66,14 +79,10 @@ class ModelParams:
     sta: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("omega0", "delta0", "half_length"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.omega0 >= 0.0):
-            raise ValueError(f"omega0 must be >= 0, got {self.omega0}")
-        if not (self.delta0 >= 0.0):
-            raise ValueError(f"delta0 must be >= 0, got {self.delta0}")
-        if not (self.half_length > 0.0):
+        check_finite("omega0", self.omega0, 0.0)
+        check_finite("delta0", self.delta0, 0.0)
+        check_finite("half_length", self.half_length)
+        if not self.half_length > 0.0:
             raise ValueError(f"half_length must be > 0, got {self.half_length}")
 
     @property
@@ -120,8 +129,7 @@ class GeometryCalibration:
 
     def __post_init__(self) -> None:
         for name in ("coupling_scale", "coupling_decay", "mismatch_per_width"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            check_finite(name, getattr(self, name))
         if self.coupling_scale <= 0 or self.coupling_decay <= 0 or self.mismatch_per_width <= 0:
             raise ValueError("all calibration constants must be positive")
 

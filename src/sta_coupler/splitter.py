@@ -23,14 +23,13 @@ from functools import partial
 import numpy as np
 
 from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
-from .schedules import ModelParams, _check_position, _closed_form, drive
+from .schedules import ModelParams, drive
 
 __all__ = ["SplitterParams", "build_h3", "simulate_splitter"]
 
-_SQRT2 = math.sqrt(2.0)
 MODES = ("direct", "reduced_cd")
 
-# Constant terms of the generators; W and D from splitter_schedule weight them.
+# Constant terms of the generator [[0, W, 0], [W, D, W], [0, W, 0]]
 _OUTER_COUPLINGS = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 _MIDDLE_MISMATCH = np.diag([0.0, 1.0, 0.0])
 
@@ -44,30 +43,28 @@ class SplitterParams:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
-
-def splitter_schedule(sp: SplitterParams, z: float, side: int = 0) -> tuple[float, float]:
-    """Coupling and middle-guide mismatch (W, D) of the array generator."""
-    p = sp.base
-    if not p.sta or sp.mode == "direct":
-        return drive(p, z, side)
-    # reduced_cd: run the CD construction on the middle/bright system and map back
-    _check_position(p, z)
-    cf = _closed_form(*_reduced_design(p), p.half_length, z, side)
-    return cf.omega_eff / _SQRT2, 2.0 * cf.delta_eff
-
-
-def _reduced_design(p: ModelParams) -> tuple[float, float]:
-    """Coupling and left-half mismatch of the traceless form of the
-    (middle, bright) two-level system: sqrt(2)*omega0 and delta0/2.  With
-    middle-guide input as its guide 1, its guide-2 output is the bright
-    intensity, which splits equally, I1 = I3 = I_bright / 2."""
-    return _SQRT2 * p.omega0, 0.5 * p.delta0
+    @property
+    def design(self) -> ModelParams:
+        """Two-guide design whose drive weights the array's terms: the base,
+        or for an STA reduced_cd array the traceless (middle, bright) system,
+        sqrt(2)*omega0 and delta0/2, whose guide-2 output is the bright
+        intensity, which splits as I1 = I3 = I_bright / 2."""
+        p = self.base
+        if not p.sta or self.mode == "direct":
+            return p
+        omega0 = math.sqrt(2.0) * p.omega0
+        if math.isinf(omega0):  # a numerical failure, not a bad design
+            raise FloatingPointError(f"sqrt(2)*omega0 overflows: omega0={p.omega0}")
+        return ModelParams(omega0, 0.5 * p.delta0, p.half_length, sta=True)
 
 
 def build_h3(sp: SplitterParams) -> HamiltonianSpec:
-    """3x3 generator [[0, W, 0], [W, D, W], [0, W, 0]]."""
-    return HamiltonianSpec((_OUTER_COUPLINGS, _MIDDLE_MISMATCH),
-                           partial(splitter_schedule, sp), discontinuities=(0.0,))
+    """3x3 generator weighted by drive on sp.design; a reduced design's
+    coupling sqrt(2)*W and mismatch D/2 fold 1/sqrt(2) and 2 into the terms."""
+    q = sp.design
+    w, d = (1.0, 1.0) if q is sp.base else (math.sqrt(0.5), 2.0)
+    return HamiltonianSpec((w * _OUTER_COUPLINGS, d * _MIDDLE_MISMATCH),
+                           partial(drive, q), discontinuities=(0.0,))
 
 
 def simulate_splitter(sp: SplitterParams, tol: float = 1e-10) -> Trajectory:

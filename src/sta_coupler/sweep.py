@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-import math
 import operator
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .coupler import simulate
 from .propagation import _check_coefficients, _check_tol
-from .schedules import ModelParams, adiabatic_transport, drive
-from .splitter import (MODES, SplitterParams, _reduced_design, simulate_splitter,
-                       splitter_schedule)
+from .schedules import ModelParams, adiabatic_transport, check_finite, drive
+from .splitter import MODES, SplitterParams, simulate_splitter
 
 __all__ = [
     "AxisSpec",
@@ -55,8 +52,7 @@ class AxisSpec:
         if self.name not in PARAMETERS:
             raise ValueError(f"axis name must be one of {PARAMETERS}, got {self.name!r}")
         for bound in ("lo", "hi"):
-            if not math.isfinite(getattr(self, bound)):
-                raise ValueError(f"axis {bound} must be finite, got {getattr(self, bound)}")
+            check_finite(f"axis {bound}", getattr(self, bound), 0.0)
         try:
             operator.index(self.count)
         except TypeError:
@@ -65,8 +61,6 @@ class AxisSpec:
             raise ValueError(f"axis count must be >= 2, got {self.count}")
         if not self.lo < self.hi:
             raise ValueError(f"axis needs lo < hi, got [{self.lo}, {self.hi}]")
-        if self.lo < 0:
-            raise ValueError(f"axis lo must be >= 0, got {self.lo}")
 
     @property
     def values(self) -> np.ndarray:
@@ -93,6 +87,8 @@ class SweepSpec:
         remaining = set(PARAMETERS) - {self.axis_x.name, self.axis_y.name}
         if set(self.fixed) != remaining:
             raise ValueError(f"fixed must provide exactly {sorted(remaining)}")
+        for name, value in self.fixed.items():
+            check_finite(name, value, 0.0)
         _check_tol(self.tol)
 
 
@@ -132,6 +128,7 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     integrated adaptively with tolerance tol.
     """
     _check_metric(metric, splitter_mode)
+    check_finite("total_length", total_length, 0.0)  # as given; ModelParams sees half of it
     if omega0 == 0.0 or total_length == 0.0:
         # checked as any other point, except that length 0 is valid here
         ModelParams(omega0, delta0, 1.0 if total_length == 0.0 else total_length / 2.0)
@@ -145,14 +142,11 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
         traj = simulate_splitter(SplitterParams(p, splitter_mode), tol=tol)
         i1, _, i3 = (float(x) for x in traj.final_intensities)
         return max(abs(i1 - 0.5), abs(i3 - 0.5))
-    if metric == "final_i2":
-        coefficients, design = partial(drive, p), (omega0, delta0)
-    else:
-        coefficients, design = partial(splitter_schedule, SplitterParams(p)), _reduced_design(p)
+    q = p if metric == "final_i2" else SplitterParams(p).design
     L = p.half_length
     for z, side in ((-L, 0), (0.0, -1)):  # +L and 0+ mirror these, D negated
-        _check_coefficients(coefficients(z, side), z)  # fails as the integrator would
-    transfer = adiabatic_transport(*design, L)[1]
+        _check_coefficients(drive(q, z, side), z)  # fails as the integrator would
+    transfer = adiabatic_transport(q.omega0, q.delta0, L)[1]
     return transfer if metric == "final_i2" else abs(0.5 * transfer - 0.5)
 
 
@@ -169,17 +163,11 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if workers > 1:
         warnings.warn("run_sweep evaluates its cells serially; workers is "
                       "deprecated and ignored", DeprecationWarning, stacklevel=2)
-    xs = spec.axis_x.values
-    ys = spec.axis_y.values
-    rows = []
-    for y in ys:
-        row = []
-        for x in xs:
-            params = {**spec.fixed, spec.axis_x.name: float(x), spec.axis_y.name: float(y)}
-            row.append(metric_value(spec.metric, spec.sta, tol=spec.tol,
-                                    splitter_mode=spec.splitter_mode, **params))
-        rows.append(row)
-
+    xs, ys = spec.axis_x.values, spec.axis_y.values
+    x_name, y_name = spec.axis_x.name, spec.axis_y.name
+    rows = [[metric_value(spec.metric, spec.sta, tol=spec.tol, splitter_mode=spec.splitter_mode,
+                          **spec.fixed, **{x_name: float(x), y_name: float(y)})
+             for x in xs] for y in ys]
     closed = _closed_form_applies(spec.metric, spec.sta, spec.splitter_mode)
     return SweepResult(grid=np.array(rows), x_values=xs, y_values=ys,
                        backend="adiabatic-closed-form" if closed else "adaptive-dop853")
@@ -200,11 +188,14 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     monotone in length); bisection then refines it to 0.01 mm.  Each
     length is scored by :func:`metric_value`, so STA scans integrate nothing.
     """
+    check_finite("target", target)
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     _check_tol(tol)
     lo_range, hi_range = length_range
-    if not 0.0 <= lo_range < hi_range < math.inf:
+    for end, value in (("lo", lo_range), ("hi", hi_range)):
+        check_finite(f"search range {end}", value, 0.0)
+    if not lo_range < hi_range:
         raise ValueError(f"invalid search range {length_range}")
 
     def metric(length: float) -> float:

@@ -335,13 +335,28 @@ class TestNonFinite:
     @pytest.mark.parametrize("flag,value,field", [
         ("--omega0", "inf", "omega0"),
         ("--delta0", "nan", "delta0"),
-        ("--total-length", "inf", "half_length"),
+        ("--total-length", "inf", "--total-length"),
     ])
     def test_model_params(self, flag, value, field, capsys):
         argv = ["simulate", *MODEL, flag, value]
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert f"{field} must be finite" in err
+
+    @pytest.mark.parametrize("command", ["profile", "simulate", "splitter", "check"])
+    def test_total_length_named_as_given(self, command, capsys):
+        # not as the half length that ModelParams receives
+        code, _, err = run(capsys, command, "--omega0", "1", "--delta0", "0.1",
+                           "--total-length", "-2")
+        assert code == EXIT_USAGE
+        assert err == "error: --total-length must be finite and > 0, got -2.0\n"
+
+    def test_sweep_total_length(self, capsys):
+        # checked by SweepSpec, before the first cell builds a ModelParams
+        code, _, err = run(capsys, "sweep", "--axis-x", "omega0:0:1:2", "--axis-y",
+                           "delta0:0:1:2", "--total-length", "nan", "--format", "json")
+        assert code == EXIT_USAGE
+        assert err == "error: total_length must be finite, got nan\n"
 
     @pytest.mark.parametrize("delta0,sta", [("nan", "--no-sta"), ("inf", "--sta"),
                                             ("-1", "--no-sta")])
@@ -385,6 +400,15 @@ class TestNonFiniteSchedule:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_NUMERICAL
         assert "non-finite coefficients" in err
+
+    def test_reduced_design_overflow(self, capsys):
+        # sqrt(2)*omega0 of the reduced_cd array overflows: a numerical
+        # failure, although the base design is a valid one
+        code, out, err = run(capsys, "splitter", "--omega0", "1.7e308", "--delta0", "0.1",
+                             "--total-length", "10", "--sta")
+        assert code == EXIT_NUMERICAL
+        assert err == "error: sqrt(2)*omega0 overflows: omega0=1.7e+308\n"
+        assert out == ""
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--axis-x", "omega0:1e99:1e100:2", "--axis-y", "delta0:0.1:1:2",

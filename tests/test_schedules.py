@@ -63,6 +63,14 @@ class TestRawSchedule:
         with pytest.raises(ValueError):
             ModelParams(omega0=1.0, delta0=0.1, half_length=0.0)
 
+    @pytest.mark.parametrize("field", ["omega0", "delta0", "half_length"])
+    @pytest.mark.parametrize("value", ["0", None, math.nan, math.inf])
+    def test_non_number_params_rejected(self, field, value):
+        # a ValueError naming the field, not a TypeError from math.isfinite
+        values = {"omega0": 1.0, "delta0": 0.1, "half_length": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
+            ModelParams(**values)
+
 
 class TestMixingAngle:
     """theta = atan2(omega, delta) as the closed form returns it."""
@@ -325,7 +333,7 @@ class TestGeometrySynthesis:
 
     @pytest.mark.parametrize("field", ["coupling_scale", "coupling_decay",
                                        "mismatch_per_width"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "0", None])
     def test_non_finite_calibration_rejected(self, field, value):
         values = {"coupling_scale": 5.0, "coupling_decay": 2.0,
                   "mismatch_per_width": 0.5, field: value}

@@ -1,18 +1,12 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
 
 from sta_coupler import splitter
 from sta_coupler.propagation import HamiltonianSpec, Trajectory, propagate_adaptive
-from sta_coupler.schedules import ModelParams, effective_schedule
-from sta_coupler.splitter import (
-    SplitterParams,
-    build_h3,
-    simulate_splitter,
-    splitter_schedule,
-)
+from sta_coupler.schedules import ModelParams, drive, effective_schedule
+from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter
 
 BASE = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=True)
 BASE_RAW = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=False)
@@ -25,12 +19,24 @@ def splitting_infidelity(traj: Trajectory) -> float:
     return max(abs(i1 - 0.5), abs(i3 - 0.5))
 
 
+# rows: the bright state (guide 1 + guide 3) / sqrt(2) and the middle guide;
+# the dark state (guide 1 - guide 3) / sqrt(2) is orthogonal to both
+BRIGHT_MIDDLE = np.array([[math.sqrt(0.5), 0.0, math.sqrt(0.5)], [0.0, 1.0, 0.0]])
+
+
 def reduced_h2(sp: SplitterParams) -> HamiltonianSpec:
     """Generator [[0, sqrt(2) W], [sqrt(2) W, D]] of the (bright, middle)
-    system the array reduces to once the dark state decouples."""
-    return HamiltonianSpec((np.array([[0.0, math.sqrt(2.0)], [math.sqrt(2.0), 0.0]]),
-                            np.diag([0.0, 1.0])),
-                           partial(splitter_schedule, sp), discontinuities=(0.0,))
+    system the array reduces to once the dark state decouples: build_h3's
+    own terms projected onto that pair, with its own coefficients."""
+    h3 = build_h3(sp)
+    return HamiltonianSpec(tuple(BRIGHT_MIDDLE @ t @ BRIGHT_MIDDLE.T for t in h3.terms),
+                           h3.coefficients, h3.discontinuities)
+
+
+def reduced_design(p: ModelParams) -> ModelParams:
+    """The traceless (middle, bright) system of an STA array: coupling
+    sqrt(2)*omega0 and left-half mismatch delta0/2."""
+    return ModelParams(math.sqrt(2.0) * p.omega0, 0.5 * p.delta0, p.half_length, sta=True)
 
 
 class TestConstruction:
@@ -50,55 +56,67 @@ class TestConstruction:
     def test_matrices_from_effective_schedule(self, sp, z, side):
         pt = effective_schedule(sp.base, z, side)
         w, d = (pt.omega_eff, pt.delta_eff) if sp.base.sta else (pt.omega, pt.delta)
+        assert drive(sp.design, z, side) == (w, d)
         assert np.array_equal(build_h3(sp).matrix(z, side),
                               [[0, w, 0], [w, d, w], [0, w, 0]])
         rw = math.sqrt(2.0) * w
         assert np.array_equal(reduced_h2(sp).matrix(z, side), [[0, rw], [rw, d]])
 
     def test_reduced_cd_matrices_from_schedule(self):
+        # the reduced system's coupling sqrt(2) W is the design's own, up to
+        # the one rounding of sqrt(0.5)**2 in the projected coupling term
         sp = SplitterParams(BASE, "reduced_cd")
-        w, d = splitter_schedule(sp, -5.0)
-        assert np.array_equal(build_h3(sp).matrix(-5.0), [[0, w, 0], [w, d, w], [0, w, 0]])
-        rw = math.sqrt(2.0) * w
-        assert np.array_equal(reduced_h2(sp).matrix(-5.0), [[0, rw], [rw, d]])
+        rw, d = drive(sp.design, -5.0)
+        w = rw * math.sqrt(0.5)
+        assert np.array_equal(build_h3(sp).matrix(-5.0),
+                              [[0, w, 0], [w, 2 * d, w], [0, w, 0]])
+        h2 = reduced_h2(sp)
+        k = h2.terms[0][0, 1].real
+        assert abs(k - 1.0) <= 2.0 ** -52
+        assert np.array_equal(h2.matrix(-5.0), [[0, rw * k], [rw * k, 2 * d]])
 
     @pytest.mark.parametrize("z, side", [(-12.5, 0), (-7.3, 0), (0.0, -1), (0.0, +1), (4.1, 0),
                                          (12.5, 0)])
     def test_reduced_cd_is_reduced_effective_schedule(self, z, side):
         # the CD construction on the (middle, bright) system, whose traceless
         # form has coupling sqrt(2)*omega0 and left-half mismatch delta0/2
-        reduced = ModelParams(math.sqrt(2.0) * BASE.omega0, 0.5 * BASE.delta0,
-                              BASE.half_length, sta=True)
-        pt = effective_schedule(reduced, z, side)
-        w, d = splitter_schedule(SplitterParams(BASE, "reduced_cd"), z, side)
-        assert (w, d) == (pt.omega_eff / math.sqrt(2.0), 2.0 * pt.delta_eff)
+        sp = SplitterParams(BASE, "reduced_cd")
+        assert sp.design == reduced_design(BASE)
+        pt = effective_schedule(reduced_design(BASE), z, side)
+        assert drive(sp.design, z, side) == (pt.omega_eff, pt.delta_eff)
+        w, d = pt.omega_eff * math.sqrt(0.5), 2.0 * pt.delta_eff
+        assert np.array_equal(build_h3(sp).matrix(z, side),
+                              [[0, w, 0], [w, d, w], [0, w, 0]])
 
     @pytest.mark.parametrize("mode", ["direct", "reduced_cd"])
     def test_position_checked(self, mode):
         sp = SplitterParams(ModelParams(1.5, 0.1, 5.0, sta=True), mode)
         with pytest.raises(ValueError, match="outside the device"):
-            splitter_schedule(sp, 100.0)
+            drive(sp.design, 100.0)
+        with pytest.raises(ValueError, match="outside the device"):
+            build_h3(sp).matrix(100.0)
         with pytest.raises(ValueError, match="outside the device"):
             propagate_adaptive(build_h3(sp), np.array([0.0, 1.0, 0.0], dtype=complex),
                                -10.0, 10.0)
 
     def test_raw_schedule_passthrough(self):
         sp = SplitterParams(BASE_RAW)
-        w, d = splitter_schedule(sp, 0.0, side=-1)
-        assert w == pytest.approx(1.5)
-        assert d == pytest.approx(0.1)
+        assert sp.design is BASE_RAW
+        m = build_h3(sp).matrix(0.0, side=-1)
+        assert m[0, 1] == pytest.approx(1.5)
+        assert m[1, 1] == pytest.approx(0.1)
 
     def test_reduced_cd_midpoint_coupling(self):
         # the reduced construction also leaves the peak coupling unchanged
         sp = SplitterParams(BASE, mode="reduced_cd")
         for side in (-1, +1):
-            w, _ = splitter_schedule(sp, 0.0, side=side)
+            w = build_h3(sp).matrix(0.0, side=side)[0, 1]
             assert w == pytest.approx(BASE.omega0, abs=1e-12)
 
     def test_modes_differ_away_from_midpoint(self):
-        direct = splitter_schedule(SplitterParams(BASE, "direct"), -5.0)
-        reduced = splitter_schedule(SplitterParams(BASE, "reduced_cd"), -5.0)
-        assert direct != reduced
+        direct = build_h3(SplitterParams(BASE, "direct")).matrix(-5.0)
+        reduced = build_h3(SplitterParams(BASE, "reduced_cd")).matrix(-5.0)
+        assert not np.array_equal(direct, reduced)
 
 
 class TestSimulateSplitter:

@@ -12,7 +12,7 @@ from test_splitter import splitting_infidelity
 from sta_coupler.coupler import build_h2, simulate
 from sta_coupler.propagation import HamiltonianSpec, propagate_adaptive
 from sta_coupler.schedules import ModelParams, adiabatic_transport, drive
-from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter, splitter_schedule
+from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter
 from sta_coupler.sweep import (
     AxisSpec,
     SweepSpec,
@@ -88,6 +88,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="hi must be finite"):
             AxisSpec("omega0", 0.0, float("inf"), 5)
 
+    @pytest.mark.parametrize("bound", ["lo", "hi"])
+    @pytest.mark.parametrize("value", ["0", None, math.nan])
+    def test_axis_bound_not_a_number(self, bound, value):
+        bounds = {"lo": 0.0, "hi": 1.0, bound: value}
+        with pytest.raises(ValueError, match=f"axis {bound} must be finite, got {value!r}"):
+            AxisSpec("omega0", count=3, **bounds)
+
+    @pytest.mark.parametrize("value", ["10", None, math.nan, math.inf, -2.0])
+    def test_fixed_values_checked(self, value):
+        # named as given, before any cell runs
+        match = "total_length must be >= 0" if value == -2.0 else "total_length must be finite"
+        with pytest.raises(ValueError, match=match):
+            SweepSpec(axis_x=AxisSpec("omega0", 0, 1, 2), axis_y=AxisSpec("delta0", 0, 1, 2),
+                      fixed={"total_length": value})
+
     def test_duplicate_axes(self):
         with pytest.raises(ValueError):
             SweepSpec(axis_x=AxisSpec("omega0", 0, 1, 2),
@@ -103,6 +118,14 @@ class TestValidation:
     def test_metric_name(self):
         with pytest.raises(ValueError):
             small_spec(metric="bogus")
+
+    @pytest.mark.parametrize("total_length", [-2.0, math.nan, math.inf, "10", None])
+    @pytest.mark.parametrize("omega0", [0.0, 1.5])
+    def test_metric_value_total_length(self, total_length, omega0):
+        # named as given, not as the half length a ModelParams receives
+        bound = ">= 0" if total_length == -2.0 else "finite"
+        with pytest.raises(ValueError, match=f"total_length must be {bound}, got"):
+            metric_value("final_i2", True, omega0, 0.1, total_length)
 
     def test_metric_value_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -236,8 +259,9 @@ class TestClosedFormGuard:
         raised = 0
         for omega0, delta0, L in designs:
             p = ModelParams(omega0, delta0, L, sta=True)
-            schedule = partial(drive, p) if mode == "drive" else partial(
-                splitter_schedule, SplitterParams(p))
+            # the reduced_cd array's design is built inside, where it may overflow
+            schedule = partial(drive, p) if mode == "drive" else (
+                lambda z, side: drive(SplitterParams(p).design, z, side))
             for left, right in (((-L, 0), (L, 0)), ((0.0, -1), (0.0, +1))):
                 here, mirror = _at(schedule, *left), _at(schedule, *right)
                 if isinstance(here, type):
@@ -395,6 +419,19 @@ class TestThreshold:
     def test_target_validation(self):
         with pytest.raises(ValueError):
             threshold_length(1.0, 0.1, True, target=1.5)
+
+    @pytest.mark.parametrize("value", ["0.9", None, math.nan])
+    def test_target_not_a_number(self, value):
+        with pytest.raises(ValueError, match=f"target must be finite, got {value!r}"):
+            threshold_length(1.0, 0.1, True, target=value)
+
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize("value", ["1", None, math.nan, -1.0])
+    def test_range_not_a_number(self, end, value):
+        length_range = (value, 2.0) if end == "lo" else (0.0, value)
+        bound = "must be >= 0" if value == -1.0 else "must be finite"
+        with pytest.raises(ValueError, match=f"search range {end} {bound}"):
+            threshold_length(1.0, 0.1, True, target=0.9, length_range=length_range)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
