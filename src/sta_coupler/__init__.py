@@ -4,14 +4,12 @@ __version__ = "0.1.0"
 
 from .schedules import (  # noqa: F401
     Diagnostics,
-    GeometryCalibration,
     ModelParams,
     SchedulePoint,
     adiabatic_transport,
     diagnostics,
     drive,
     effective_schedule,
-    geometry_synthesis,
     schedule_grid,
 )
 from .propagation import (  # noqa: F401
@@ -28,7 +26,6 @@ from .sweep import (  # noqa: F401
     SweepResult,
     ThresholdResult,
     TargetNotReached,
-    robust_region_fraction,
     run_sweep,
     threshold_length,
 )

@@ -20,16 +20,11 @@ import numpy as np
 
 from .coupler import simulate
 from .propagation import StiffnessError, Trajectory
-from .schedules import ModelParams, diagnostics, schedule_grid
+from .schedules import ModelParams, device_grid, diagnostics, schedule_grid
 from .serialize import format_float, write_csv, write_json
 from .splitter import MODES, SplitterParams, simulate_splitter
-from .sweep import (
-    AxisSpec,
-    SweepSpec,
-    TargetNotReached,
-    run_sweep,
-    threshold_length,
-)
+from .sweep import (METRICS, PARAMETERS, AxisSpec, SweepSpec, TargetNotReached,
+                    run_sweep, threshold_length)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -93,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--axis-x", type=_axis, dest="axis_x", help="name:lo:hi:count")
     p.add_argument("--axis-y", type=_axis, dest="axis_y", help="name:lo:hi:count")
-    p.add_argument("--metric", choices=("final_i2", "splitting_infidelity"),
-                   default="final_i2")
+    p.add_argument("--metric", choices=METRICS, default="final_i2")
     p.add_argument("--mode", choices=MODES,
                    help="STA splitter construction for splitting_infidelity")
     p.add_argument("--tol", type=float, default=1e-8)
@@ -166,10 +160,13 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _model(args: argparse.Namespace) -> ModelParams:
     _require(args, "omega0", "delta0", "total_length")
-    if not 0.0 < args.total_length < math.inf:  # as given; ModelParams sees half of it
-        raise ValueError(f"--total-length must be finite and > 0, got {args.total_length}")
+    length = args.total_length  # as given; ModelParams sees half of it
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"--total-length must be finite and > 0, got {length}")
+    if length / 2.0 == 0.0:
+        raise ValueError(f"--total-length must be > 0 when halved, got {length}")
     return ModelParams(omega0=args.omega0, delta0=args.delta0,
-                       half_length=args.total_length / 2.0, sta=args.sta)
+                       half_length=length / 2.0, sta=args.sta)
 
 
 def _emit_rows(args, header, rows) -> None:
@@ -195,11 +192,7 @@ def _inputs(args: argparse.Namespace) -> dict:
 
 def _cmd_profile(args) -> int:
     p = _model(args)
-    if args.samples < 2:
-        raise ValueError("--samples must be >= 2")
-    with np.errstate(over="ignore"):  # as in schedules.diagnostics
-        zs = np.linspace(-p.half_length, p.half_length, args.samples)
-    sp = schedule_grid(p, zs)
+    sp = schedule_grid(p, device_grid(p, args.samples))
     _emit_rows(args, ("z", "omega", "delta", "omega_a", "omega_eff", "delta_eff"),
                zip(sp.z, sp.omega, sp.delta, sp.omega_a, sp.omega_eff, sp.delta_eff))
     return EXIT_OK
@@ -237,7 +230,7 @@ def _cmd_sweep(args) -> int:
     _require(args, "axis_x", "axis_y")
     axes = {args.axis_x.name: "--axis-x", args.axis_y.name: "--axis-y"}
     fixed = {}
-    for name in ("omega0", "delta0", "total_length"):
+    for name in PARAMETERS:
         flag, value = "--" + name.replace("_", "-"), getattr(args, name)
         if name in axes:
             if value is not None:

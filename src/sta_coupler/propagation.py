@@ -168,8 +168,12 @@ def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, list], list
 
 
 def _check_tol(tol: float) -> None:
-    if not (1e-12 <= tol <= 1e-4):
-        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol}")
+    try:
+        valid = 1e-12 <= tol <= 1e-4
+    except TypeError:  # not a number: a string, None, a list
+        valid = False
+    if not valid:
+        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol!r}")
 
 
 # Dormand-Prince 8(5,3) tableau as published with DOP853 (Hairer, Norsett &

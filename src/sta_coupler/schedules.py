@@ -29,15 +29,12 @@ __all__ = [
     "ModelParams",
     "SchedulePoint",
     "Diagnostics",
-    "GeometryCalibration",
     "DiscontinuityError",
-    "CalibrationDomainError",
     "adiabatic_transport",
     "effective_schedule",
     "schedule_grid",
     "drive",
     "diagnostics",
-    "geometry_synthesis",
 ]
 
 
@@ -56,10 +53,6 @@ def check_finite(name: str, value, minimum: float = -math.inf) -> None:
 
 class DiscontinuityError(ValueError):
     """Untagged evaluation at the sign-flip point z = 0."""
-
-
-class CalibrationDomainError(ValueError):
-    """Geometry synthesis outside the calibration's domain."""
 
 
 @dataclass(frozen=True)
@@ -110,28 +103,6 @@ class Diagnostics:
     max_adiabaticity_ratio: float
     max_cd_ratio: float
     bound_satisfied: bool
-
-
-@dataclass(frozen=True)
-class GeometryCalibration:
-    """User-supplied constants for the schedule-to-geometry mapping.
-
-    coupling_scale (A) : coupling at zero separation, 1/mm
-    coupling_decay (gamma) : exponential decay rate of the coupling with
-        separation, 1/mm
-    mismatch_per_width (k) : mismatch produced per unit width difference,
-        1/(mm*um)
-    """
-
-    coupling_scale: float
-    coupling_decay: float
-    mismatch_per_width: float
-
-    def __post_init__(self) -> None:
-        for name in ("coupling_scale", "coupling_decay", "mismatch_per_width"):
-            check_finite(name, getattr(self, name))
-        if self.coupling_scale <= 0 or self.coupling_decay <= 0 or self.mismatch_per_width <= 0:
-            raise ValueError("all calibration constants must be positive")
 
 
 def _resolve_side(z: float, side: int) -> int:
@@ -282,6 +253,16 @@ def schedule_grid(p: ModelParams, zs: np.ndarray) -> SchedulePoint:
     return SchedulePoint(*fields)
 
 
+def device_grid(p: ModelParams, samples: int) -> np.ndarray:
+    """samples evenly spaced positions over the device [-L, L]."""
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+    # at 2L near the float maximum, linspace overflows computing its last
+    # sample and then overwrites it with L, so the grid it returns is right
+    with np.errstate(over="ignore"):
+        return np.linspace(-p.half_length, p.half_length, samples)
+
+
 def diagnostics(p: ModelParams, samples: int) -> Diagnostics:
     """Grid maxima of |theta_dot/2| / sqrt(omega^2 + delta^2) and
     |omega_a| / |omega| over [-L, L] (see :func:`schedule_grid`).
@@ -289,13 +270,7 @@ def diagnostics(p: ModelParams, samples: int) -> Diagnostics:
     omega_a vanishes at z = 0 on both sides, so the side taken there
     cannot change either maximum.
     """
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    # at 2L near the float maximum, linspace overflows computing its last
-    # sample and then overwrites it with L, so the grid it returns is right
-    with np.errstate(over="ignore"):
-        zs = np.linspace(-p.half_length, p.half_length, samples)
-    sp = schedule_grid(p, zs)
+    sp = schedule_grid(p, device_grid(p, samples))
     omega_a, gap = np.abs(sp.omega_a), np.hypot(sp.omega, sp.delta)
     max_ad = float(np.max(omega_a[gap > 0.0] / gap[gap > 0.0], initial=0.0))
     max_cd = float(np.max(omega_a[sp.omega > 0.0] / sp.omega[sp.omega > 0.0], initial=0.0))
@@ -304,23 +279,3 @@ def diagnostics(p: ModelParams, samples: int) -> Diagnostics:
         max_cd_ratio=max_cd,
         bound_satisfied=max_cd <= 1.0 + 1e-12,
     )
-
-
-def geometry_synthesis(point: SchedulePoint,
-                       calib: GeometryCalibration) -> tuple[float, float]:
-    """Map a schedule point to waveguide geometry.
-
-    Returns (separation d in mm, width difference dW in um) using the
-    exponential coupling-distance law ``omega_eff = A * exp(-gamma * d)``
-    and the linear mismatch-width relation ``delta_eff = k * dW``.
-    """
-    if point.omega_eff == 0.0:
-        raise CalibrationDomainError("omega_eff = 0 implies infinite separation")
-    if point.omega_eff > calib.coupling_scale:
-        raise CalibrationDomainError(
-            f"omega_eff={point.omega_eff} exceeds the zero-separation coupling "
-            f"A={calib.coupling_scale}"
-        )
-    separation = math.log(calib.coupling_scale / point.omega_eff) / calib.coupling_decay
-    width_difference = point.delta_eff / calib.mismatch_per_width
-    return separation, width_difference

@@ -22,7 +22,6 @@ __all__ = [
     "metric_value",
     "run_sweep",
     "threshold_length",
-    "robust_region_fraction",
 ]
 
 PARAMETERS = ("omega0", "delta0", "total_length")
@@ -64,7 +63,7 @@ class AxisSpec:
 
     @property
     def values(self) -> np.ndarray:
-        # as in schedules.diagnostics: near the float maximum, linspace
+        # as in schedules.device_grid: near the float maximum, linspace
         # overflows only in its last sample, which it then sets to hi
         with np.errstate(over="ignore"):
             return np.linspace(self.lo, self.hi, self.count)
@@ -129,13 +128,15 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     """
     _check_metric(metric, splitter_mode)
     check_finite("total_length", total_length, 0.0)  # as given; ModelParams sees half of it
-    if omega0 == 0.0 or total_length == 0.0:
+    half = total_length / 2.0
+    if half == 0.0 < total_length:  # the smallest subnormal length
+        raise ValueError(f"total_length must be > 0 when halved, got {total_length}")
+    if omega0 == 0.0 or half == 0.0:
         # checked as any other point, except that length 0 is valid here
-        ModelParams(omega0, delta0, 1.0 if total_length == 0.0 else total_length / 2.0)
+        ModelParams(omega0, delta0, half or 1.0)
         # input stays put: I2 = 0 for guide-1 input, I1 = I3 = 0 for the splitter
         return 0.0 if metric == "final_i2" else 0.5
-    p = ModelParams(omega0=omega0, delta0=delta0,
-                    half_length=total_length / 2.0, sta=sta)
+    p = ModelParams(omega0=omega0, delta0=delta0, half_length=half, sta=sta)
     if not _closed_form_applies(metric, sta, splitter_mode):
         if metric == "final_i2":
             return float(simulate(p, input_guide=1, tol=tol).final_intensities[1])
@@ -222,8 +223,3 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
         else:
             lo = mid
     return ThresholdResult(total_length=hi, achieved_metric=achieved)
-
-
-def robust_region_fraction(result: SweepResult, target: float) -> float:
-    """Fraction of grid cells whose metric meets the target."""
-    return float(np.mean(result.grid >= target))

@@ -36,7 +36,6 @@ from sta_coupler.sweep import (
     SweepSpec,
     TargetNotReached,
     metric_value,
-    robust_region_fraction,
     run_sweep,
     threshold_length,
 )
@@ -269,8 +268,8 @@ def test_acceptance_8_robustness_ordering(report):
                          sta=sta, tol=1e-6)
         return run_sweep(spec)
 
-    frac_sta = robust_region_fraction(sweep(True), 0.95)
-    frac_raw = robust_region_fraction(sweep(False), 0.95)
+    frac_sta = np.mean(sweep(True).grid >= 0.95)
+    frac_raw = np.mean(sweep(False).grid >= 0.95)
     point_sta = metric_value("final_i2", True, 3.0, 0.2, 10.0, tol=1e-8)
     point_raw = metric_value("final_i2", False, 3.0, 0.2, 10.0, tol=1e-8)
 

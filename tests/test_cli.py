@@ -351,6 +351,20 @@ class TestNonFinite:
         assert code == EXIT_USAGE
         assert err == "error: --total-length must be finite and > 0, got -2.0\n"
 
+    @pytest.mark.parametrize("command", ["profile", "simulate", "splitter", "check"])
+    def test_total_length_half_underflows(self, command, capsys):
+        # 5e-324 is positive, but its half, which ModelParams receives, is 0.0
+        code, out, err = run(capsys, command, "--omega0", "1", "--delta0", "0.1",
+                             "--total-length", "5e-324")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --total-length must be > 0 when halved, got 5e-324\n"
+
+    def test_sweep_total_length_half_underflows(self, capsys):
+        code, out, err = run(capsys, "sweep", "--axis-x", "omega0:0:1:2", "--axis-y",
+                             "total_length:0:1e-323:3", "--delta0", "0.1", "--format", "json")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: total_length must be > 0 when halved, got 5e-324\n"
+
     def test_sweep_total_length(self, capsys):
         # checked by SweepSpec, before the first cell builds a ModelParams
         code, _, err = run(capsys, "sweep", "--axis-x", "omega0:0:1:2", "--axis-y",

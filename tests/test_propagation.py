@@ -55,8 +55,8 @@ class TestValidation:
                 propagate_pwc(constant_h2(0, 1), UP, 0, 1, steps)
 
     def test_tol_range(self):
-        for tol in (1e-13, 1e-3):
-            with pytest.raises(ValueError):
+        for tol in (1e-13, 1e-3, "1e-8", None):
+            with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-4\], got"):
                 propagate_adaptive(constant_h2(0, 1), UP, 0, 1, tol=tol)
 
     def test_reversed_interval_rejected(self):

@@ -6,15 +6,11 @@ from hypothesis import given, strategies as st
 
 import adiabatic_oracle as oracle
 from sta_coupler.schedules import (
-    CalibrationDomainError,
     DiscontinuityError,
-    GeometryCalibration,
     ModelParams,
-    SchedulePoint,
     adiabatic_transport,
     diagnostics,
     effective_schedule,
-    geometry_synthesis,
     schedule_grid,
 )
 
@@ -296,46 +292,3 @@ class TestDiagnostics:
         ]
         assert all(a >= b for a, b in zip(ratios, ratios[1:]))
 
-
-class TestGeometrySynthesis:
-    CALIB = GeometryCalibration(coupling_scale=5.0, coupling_decay=2.0,
-                                mismatch_per_width=0.5)
-
-    def _point(self, omega_eff, delta_eff=0.0):
-        return SchedulePoint(
-            z=0.0, omega=omega_eff, delta=delta_eff, omega_a=0.0, phi=0.0,
-            theta=math.pi / 2, omega_eff=omega_eff, delta_eff=delta_eff)
-
-    def test_zero_separation_at_scale(self):
-        d, _ = geometry_synthesis(self._point(5.0), self.CALIB)
-        assert d == 0.0
-
-    def test_zero_mismatch_zero_width_difference(self):
-        _, dw = geometry_synthesis(self._point(1.0, 0.0), self.CALIB)
-        assert dw == 0.0
-
-    def test_exponential_inversion(self):
-        # omega_eff = A*exp(-gamma*d) with A=5, gamma=2 gives d=1 mm
-        d, _ = geometry_synthesis(self._point(5.0 * math.exp(-2.0)), self.CALIB)
-        assert d == pytest.approx(1.0, rel=1e-12)
-
-    def test_zero_coupling_rejected(self):
-        with pytest.raises(CalibrationDomainError):
-            geometry_synthesis(self._point(0.0), self.CALIB)
-
-    def test_above_scale_rejected(self):
-        with pytest.raises(CalibrationDomainError):
-            geometry_synthesis(self._point(6.0), self.CALIB)
-
-    def test_bad_calibration_rejected(self):
-        with pytest.raises(ValueError):
-            GeometryCalibration(0.0, 1.0, 1.0)
-
-    @pytest.mark.parametrize("field", ["coupling_scale", "coupling_decay",
-                                       "mismatch_per_width"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, "0", None])
-    def test_non_finite_calibration_rejected(self, field, value):
-        values = {"coupling_scale": 5.0, "coupling_decay": 2.0,
-                  "mismatch_per_width": 0.5, field: value}
-        with pytest.raises(ValueError, match=field):
-            GeometryCalibration(**values)

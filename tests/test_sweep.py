@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import re
 import struct
 from functools import partial
 
@@ -18,7 +19,6 @@ from sta_coupler.sweep import (
     SweepSpec,
     TargetNotReached,
     metric_value,
-    robust_region_fraction,
     run_sweep,
     threshold_length,
 )
@@ -103,6 +103,19 @@ class TestValidation:
             SweepSpec(axis_x=AxisSpec("omega0", 0, 1, 2), axis_y=AxisSpec("delta0", 0, 1, 2),
                       fixed={"total_length": value})
 
+    @pytest.mark.parametrize("sta", [True, False])
+    def test_total_length_half_underflows(self, sta):
+        # 5e-324 is positive, but the half a ModelParams receives is 0.0:
+        # named as given, not as half_length
+        match = "total_length must be > 0 when halved, got 5e-324"
+        spec = SweepSpec(axis_x=AxisSpec("omega0", 0.0, 1.0, 2),
+                         axis_y=AxisSpec("total_length", 0.0, 1e-323, 3),
+                         fixed={"delta0": 0.1}, sta=sta)
+        with pytest.raises(ValueError, match=match):
+            run_sweep(spec)
+        with pytest.raises(ValueError, match=match):
+            threshold_length(1.0, 0.1, sta, 0.5, (0.0, 5e-323))
+
     def test_duplicate_axes(self):
         with pytest.raises(ValueError):
             SweepSpec(axis_x=AxisSpec("omega0", 0, 1, 2),
@@ -119,11 +132,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             small_spec(metric="bogus")
 
-    @pytest.mark.parametrize("total_length", [-2.0, math.nan, math.inf, "10", None])
+    @pytest.mark.parametrize("total_length", [-2.0, math.nan, math.inf, "10", None, 5e-324])
     @pytest.mark.parametrize("omega0", [0.0, 1.5])
     def test_metric_value_total_length(self, total_length, omega0):
-        # named as given, not as the half length a ModelParams receives
-        bound = ">= 0" if total_length == -2.0 else "finite"
+        # named as given, not as the half length a ModelParams receives,
+        # which is 0.0 for 5e-324
+        bound = {-2.0: ">= 0", 5e-324: "> 0 when halved"}.get(total_length, "finite")
         with pytest.raises(ValueError, match=f"total_length must be {bound}, got"):
             metric_value("final_i2", True, omega0, 0.1, total_length)
 
@@ -142,11 +156,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"\('direct', 'reduced_cd'\), got 'bogus'"):
             metric_value(metric, True, 0.0, 0.1, 1.0, splitter_mode="bogus")
 
-    @pytest.mark.parametrize("tol", [1.0, 1e-13, math.nan])
+    @pytest.mark.parametrize("tol", [1.0, 1e-13, math.nan, "1e-8", None, [1e-8]])
     @pytest.mark.parametrize("sta", [True, False])
     def test_tol_range(self, tol, sta):
-        # checked once here: closed-form cells never reach the integrator
-        with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-4\]"):
+        # checked once here: closed-form cells never reach the integrator;
+        # a value that does not compare is named too, not a TypeError
+        with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-4\], got "
+                           + re.escape(repr(tol))):
             small_spec(sta=sta, tol=tol)
 
     def test_tol_range_degenerate_grid(self):
@@ -458,15 +474,3 @@ class TestThreshold:
         assert all(0.0 < x < step for x in lengths[2:])
         assert res.achieved_metric >= 0.9
 
-
-class TestRobustRegion:
-    def test_fraction_bounds_and_value(self):
-        res = run_sweep(small_spec())
-        frac = robust_region_fraction(res, 0.9)
-        assert 0.0 <= frac <= 1.0
-        assert frac == np.mean(res.grid >= 0.9)
-
-    def test_trivial_targets(self):
-        res = run_sweep(small_spec())
-        assert robust_region_fraction(res, -1.0) == 1.0
-        assert robust_region_fraction(res, 2.0) == 0.0
