@@ -37,6 +37,10 @@ __all__ = [
     "diagnostics",
 ]
 
+_TWO_PI = 2.0 * math.pi  # the rate k times L, and the edge argument of sech
+_SINH_TWO_PI = math.sinh(_TWO_PI)
+_COSH_TWO_PI = math.cosh(_TWO_PI)
+
 
 def check_finite(name: str, value, minimum: float = -math.inf) -> None:
     """Raise ValueError naming the field unless value is a finite real
@@ -129,25 +133,16 @@ def _raw(omega0: float, delta_left: float, half_length: float,
     The mismatch is ``delta_left`` for z < 0 and ``-delta_left`` for z > 0.
     """
     sgn = _resolve_side(z, side)
-    k = 2.0 * math.pi / half_length
+    k = _TWO_PI / half_length
     sech = 1.0 / math.cosh(k * z)
     return omega0 * sech, delta_left if sgn < 0 else -delta_left, k, sech
 
 
-def _closed_form(omega0: float, delta_left: float, half_length: float,
-                 z: float, side: int = 0) -> SchedulePoint:
-    """Evaluate all schedule quantities for a signed-mismatch model (see
-    :func:`_raw`)."""
-    omega, delta, k, sech = _raw(omega0, delta_left, half_length, z, side)
-    theta = math.atan2(omega, delta)
-
-    if omega0 == 0.0 or delta_left == 0.0:
-        # theta is constant on each half: the counterdiabatic correction
-        # vanishes identically and the STA schedules reduce to the raw ones.
-        return SchedulePoint(z, omega, delta, 0.0, 0.0, theta, omega, delta)
-
-    # r = omega_a / omega = -(k/2) tanh(k z) delta / D and its derivative,
-    # with D = omega^2 + delta^2 the only divisor
+def _cd_terms(omega: float, delta: float, k: float, sech: float,
+              z: float) -> tuple[float, float, float]:
+    """r = omega_a / omega = -(k/2) tanh(k z) delta / D, with D = omega^2 +
+    delta^2 the only divisor, and the STA schedules (omega_eff, delta_eff) at
+    z from :func:`_raw`'s terms, for omega0 and delta0 both nonzero."""
     tanh = math.tanh(k * z)
     denom = omega * omega + delta * delta
     try:
@@ -157,10 +152,32 @@ def _closed_form(omega0: float, delta_left: float, half_length: float,
         # a subnormal omega0 and delta0 underflow the sum to 0
         raise FloatingPointError(f"omega^2 + delta^2 underflows at z={z}") from None
     r = rate * tanh
-    omega_a = r * omega
-    omega_eff = math.hypot(omega, omega_a)
-    delta_eff = delta - r_dot / (2.0 * (1.0 + r * r))
-    return SchedulePoint(z, omega, delta, omega_a, math.atan(r), theta, omega_eff, delta_eff)
+    return r, math.hypot(omega, r * omega), delta - r_dot / (2.0 * (1.0 + r * r))
+
+
+def sta_drive(omega0: float, delta_left: float, half_length: float,
+              z: float, side: int = 0) -> tuple[float, float]:
+    """STA effective schedules (omega_eff, delta_eff) at z for a
+    signed-mismatch model (see :func:`_raw`), without the mixing angle, the
+    phase phi or a SchedulePoint; z is not checked against the device."""
+    omega, delta, k, sech = _raw(omega0, delta_left, half_length, z, side)
+    if omega0 == 0.0 or delta_left == 0.0:
+        return omega, delta  # no counterdiabatic correction (see _closed_form)
+    return _cd_terms(omega, delta, k, sech, z)[1:]
+
+
+def _closed_form(omega0: float, delta_left: float, half_length: float,
+                 z: float, side: int = 0) -> SchedulePoint:
+    """Evaluate all schedule quantities for a signed-mismatch model (see
+    :func:`_raw`)."""
+    omega, delta, k, sech = _raw(omega0, delta_left, half_length, z, side)
+    theta = math.atan2(omega, delta)
+    if omega0 == 0.0 or delta_left == 0.0:
+        # theta is constant on each half: the counterdiabatic correction
+        # vanishes identically and the STA schedules reduce to the raw ones.
+        return SchedulePoint(z, omega, delta, 0.0, 0.0, theta, omega, delta)
+    r, omega_eff, delta_eff = _cd_terms(omega, delta, k, sech, z)
+    return SchedulePoint(z, omega, delta, r * omega, math.atan(r), theta, omega_eff, delta_eff)
 
 
 def _rotate(angle: float, a: complex, b: complex) -> tuple[complex, complex]:
@@ -193,15 +210,15 @@ def adiabatic_transport(omega0: float, delta_left: float,
     """
     a, b = omega0, abs(delta_left)
     c = math.hypot(a, b)
-    s = math.sinh(2.0 * math.pi)
+    s = _SINH_TWO_PI
     alpha, beta = (a / c, b / c) if c else (0.0, 0.0)
     # both angles over 2 pi are at most 1, so no product overflows unless Phi does
-    x = math.asinh(beta * s) / (2.0 * math.pi)
-    y = math.atan2(alpha * s, math.hypot(1.0, beta * s)) / (2.0 * math.pi)
+    x = math.asinh(beta * s) / _TWO_PI
+    y = math.atan2(alpha * s, math.hypot(1.0, beta * s)) / _TWO_PI
     phase = b * (half_length * x) + a * (half_length * y)
     if not phase <= 1e-4 / 2.0 ** -53:
         raise FloatingPointError(f"dynamic phase overflows its bound 9.0e11: Phi={phase}")
-    theta_edge = math.atan2(omega0 / math.cosh(2.0 * math.pi), delta_left)
+    theta_edge = math.atan2(omega0 / _COSH_TWO_PI, delta_left)
     theta_mid = math.atan2(omega0, delta_left)
     rot = complex(math.cos(phase), -math.sin(phase))  # exp(-i Phi) on the +E state
 
@@ -231,8 +248,7 @@ def drive(p: ModelParams, z: float, side: int = 0) -> tuple[float, float]:
     need none of the counterdiabatic terms."""
     _check_position(p, z)
     if p.sta:
-        sp = _closed_form(p.omega0, p.delta0, p.half_length, z, side)
-        return sp.omega_eff, sp.delta_eff
+        return sta_drive(p.omega0, p.delta0, p.half_length, z, side)
     return _raw(p.omega0, p.delta0, p.half_length, z, side)[:2]
 
 

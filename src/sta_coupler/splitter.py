@@ -52,10 +52,16 @@ class SplitterParams:
         p = self.base
         if not p.sta or self.mode == "direct":
             return p
-        omega0 = math.sqrt(2.0) * p.omega0
-        if math.isinf(omega0):  # a numerical failure, not a bad design
-            raise FloatingPointError(f"sqrt(2)*omega0 overflows: omega0={p.omega0}")
-        return ModelParams(omega0, 0.5 * p.delta0, p.half_length, sta=True)
+        return ModelParams(*reduced_rates(p.omega0, p.delta0), p.half_length, sta=True)
+
+
+def reduced_rates(omega0: float, delta0: float) -> tuple[float, float]:
+    """Coupling sqrt(2)*omega0 and left-half mismatch delta0/2 of the STA
+    reduced_cd array's (middle, bright) system (see SplitterParams.design)."""
+    coupling = math.sqrt(2.0) * omega0
+    if math.isinf(coupling):  # a numerical failure, not a bad design
+        raise FloatingPointError(f"sqrt(2)*omega0 overflows: omega0={omega0}")
+    return coupling, 0.5 * delta0
 
 
 def build_h3(sp: SplitterParams) -> HamiltonianSpec:

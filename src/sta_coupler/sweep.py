@@ -1,4 +1,4 @@
-"""Parameter-sweep engine: efficiency grids, threshold lengths, robustness."""
+"""Parameter-sweep engine: efficiency grids and threshold lengths."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import numpy as np
 
 from .coupler import simulate
 from .propagation import _check_coefficients, _check_tol
-from .schedules import ModelParams, adiabatic_transport, check_finite, drive
-from .splitter import MODES, SplitterParams, simulate_splitter
+from .schedules import ModelParams, adiabatic_transport, check_finite, sta_drive
+from .splitter import MODES, SplitterParams, reduced_rates, simulate_splitter
 
 __all__ = [
     "AxisSpec",
@@ -127,27 +127,28 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     integrated adaptively with tolerance tol.
     """
     _check_metric(metric, splitter_mode)
-    check_finite("total_length", total_length, 0.0)  # as given; ModelParams sees half of it
+    check_finite("total_length", total_length, 0.0)  # as given, not as its half
     half = total_length / 2.0
     if half == 0.0 < total_length:  # the smallest subnormal length
         raise ValueError(f"total_length must be > 0 when halved, got {total_length}")
+    check_finite("omega0", omega0, 0.0)  # as ModelParams checks them
+    check_finite("delta0", delta0, 0.0)
     if omega0 == 0.0 or half == 0.0:
-        # checked as any other point, except that length 0 is valid here
-        ModelParams(omega0, delta0, half or 1.0)
         # input stays put: I2 = 0 for guide-1 input, I1 = I3 = 0 for the splitter
         return 0.0 if metric == "final_i2" else 0.5
-    p = ModelParams(omega0=omega0, delta0=delta0, half_length=half, sta=sta)
     if not _closed_form_applies(metric, sta, splitter_mode):
+        p = ModelParams(omega0=omega0, delta0=delta0, half_length=half, sta=sta)
         if metric == "final_i2":
             return float(simulate(p, input_guide=1, tol=tol).final_intensities[1])
         traj = simulate_splitter(SplitterParams(p, splitter_mode), tol=tol)
         i1, _, i3 = (float(x) for x in traj.final_intensities)
         return max(abs(i1 - 0.5), abs(i3 - 0.5))
-    q = p if metric == "final_i2" else SplitterParams(p).design
-    L = p.half_length
-    for z, side in ((-L, 0), (0.0, -1)):  # +L and 0+ mirror these, D negated
-        _check_coefficients(drive(q, z, side), z)  # fails as the integrator would
-    transfer = adiabatic_transport(q.omega0, q.delta0, L)[1]
+    if metric == "splitting_infidelity":  # SplitterParams.design, as floats
+        omega0, delta0 = reduced_rates(omega0, delta0)
+    # fail as the integrator would; +L and 0+ mirror -L and 0-, D negated
+    for z, side in ((-half, 0), (0.0, -1)):
+        _check_coefficients(sta_drive(omega0, delta0, half, z, side), z)
+    transfer = adiabatic_transport(omega0, delta0, half)[1]
     return transfer if metric == "final_i2" else abs(0.5 * transfer - 0.5)
 
 
@@ -165,10 +166,12 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
         warnings.warn("run_sweep evaluates its cells serially; workers is "
                       "deprecated and ignored", DeprecationWarning, stacklevel=2)
     xs, ys = spec.axis_x.values, spec.axis_y.values
-    x_name, y_name = spec.axis_x.name, spec.axis_y.name
-    rows = [[metric_value(spec.metric, spec.sta, tol=spec.tol, splitter_mode=spec.splitter_mode,
-                          **spec.fixed, **{x_name: float(x), y_name: float(y)})
-             for x in xs] for y in ys]
+    (fixed_name, fixed_value), = spec.fixed.items()
+    # (omega0, delta0, total_length) from a cell's (x, y, fixed) values
+    cell = operator.itemgetter(*map((spec.axis_x.name, spec.axis_y.name, fixed_name).index,
+                                    PARAMETERS))
+    rows = [[metric_value(spec.metric, spec.sta, *cell((x, y, fixed_value)), spec.tol,
+                          spec.splitter_mode) for x in xs.tolist()] for y in ys.tolist()]
     closed = _closed_form_applies(spec.metric, spec.sta, spec.splitter_mode)
     return SweepResult(grid=np.array(rows), x_values=xs, y_values=ys,
                        backend="adiabatic-closed-form" if closed else "adaptive-dop853")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import adiabatic_oracle as oracle
+from test_sweep import HALF_LENGTHS, RATES, _bits
 from sta_coupler.schedules import (
     DiscontinuityError,
     ModelParams,
     adiabatic_transport,
     diagnostics,
+    drive,
     effective_schedule,
     schedule_grid,
 )
@@ -180,6 +183,27 @@ class TestEffectiveSchedule:
     def test_untagged_midpoint_raises(self):
         with pytest.raises(DiscontinuityError):
             effective_schedule(FIG2, 0.0)
+
+
+def _fields(schedule, *args):
+    try:
+        return [*map(_bits, schedule(*args))]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_sta_drive_is_effective_schedule():
+    # drive's fields-only STA path against the full schedule point, bit for
+    # bit, over a log-scale lattice with zero rates, at z = 0 on both sides
+    points = 0
+    for omega0, delta0, L in itertools.product([0.0, *RATES], [0.0, *RATES], HALF_LENGTHS):
+        p = ModelParams(omega0, delta0, L, sta=True)
+        for z, side in ((-L, 0), (-0.5 * L, 0), (0.0, -1), (0.0, +1), (0.5 * L, 0), (L, 0)):
+            point = _fields(effective_schedule, p, z, side)
+            want = point[-2:] if isinstance(point, list) else point
+            assert _fields(drive, p, z, side) == want, (omega0, delta0, L, z, side)
+            points += isinstance(point, list)
+    assert points > 1000
 
 
 class TestScheduleGrid:

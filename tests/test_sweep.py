@@ -11,8 +11,8 @@ import pytest
 import adiabatic_oracle as oracle
 from test_splitter import splitting_infidelity
 from sta_coupler.coupler import build_h2, simulate
-from sta_coupler.propagation import HamiltonianSpec, propagate_adaptive
-from sta_coupler.schedules import ModelParams, adiabatic_transport, drive
+from sta_coupler.propagation import HamiltonianSpec, _check_coefficients, propagate_adaptive
+from sta_coupler.schedules import ModelParams, adiabatic_transport, check_finite, drive
 from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter
 from sta_coupler.sweep import (
     AxisSpec,
@@ -24,9 +24,9 @@ from sta_coupler.sweep import (
 )
 
 
-def small_spec(metric="final_i2", sta=True, tol=1e-8, **kw):
+def small_spec(metric="final_i2", sta=True, tol=1e-8, omega0_lo=0.5, **kw):
     return SweepSpec(
-        axis_x=AxisSpec("omega0", 0.5, 3.0, 4),
+        axis_x=AxisSpec("omega0", omega0_lo, 3.0, 4),
         axis_y=AxisSpec("delta0", 0.0, 0.5, 3),
         fixed={"total_length": 10.0},
         metric=metric,
@@ -53,9 +53,10 @@ def cell_loop(spec):
     return grid
 
 
-# one closed-form and two integrated sweeps: STA final_i2, raw final_i2 and
-# the direct splitter's splitting_infidelity
-LOOP_SPECS = [{}, {"sta": False}, {"metric": "splitting_infidelity", "splitter_mode": "direct"}]
+# two closed-form and two integrated sweeps: STA final_i2, raw final_i2, the
+# direct splitter's splitting_infidelity and the reduced_cd splitter's
+LOOP_SPECS = [{}, {"sta": False}, {"metric": "splitting_infidelity", "splitter_mode": "direct"},
+              {"metric": "splitting_infidelity"}]
 
 
 class TestValidation:
@@ -262,6 +263,50 @@ def _at(schedule, z, side):
         return type(exc)
 
 
+def reference_cell(metric, omega0, delta0, total_length):
+    """An STA closed-form cell composed from the public pieces: a validated
+    ModelParams, the splitter's reduced design SplitterParams(p).design, the
+    integrator's coefficient check on drive at -L and 0-, and the closed form."""
+    check_finite("total_length", total_length, 0.0)
+    half = total_length / 2.0
+    if half == 0.0 < total_length:
+        raise ValueError(f"total_length must be > 0 when halved, got {total_length}")
+    if omega0 == 0.0 or half == 0.0:
+        ModelParams(omega0, delta0, half or 1.0)
+        return 0.0 if metric == "final_i2" else 0.5
+    p = ModelParams(omega0, delta0, half, sta=True)
+    q = p if metric == "final_i2" else SplitterParams(p).design
+    for z, side in ((-half, 0), (0.0, -1)):
+        _check_coefficients(drive(q, z, side), z)
+    transfer = adiabatic_transport(q.omega0, q.delta0, half)[1]
+    return transfer if metric == "final_i2" else abs(0.5 * transfer - 0.5)
+
+
+def _outcome(cell, *args):
+    try:
+        return _bits(cell(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("metric", ["final_i2", "splitting_infidelity"])
+def test_closed_form_cell_matches_reference(metric):
+    # the same value bits, or the same exception class and message, at every
+    # design of both lattices (zero, subnormal and huge rates and lengths) and
+    # at invalid ones
+    designs = [*itertools.product(RATES, [0.0, *RATES], HALF_LENGTHS), *LOG_DESIGNS,
+               *((0.0, delta0, L) for delta0 in [0.0, *RATES] for L in HALF_LENGTHS),
+               *itertools.product([math.nan, -1.0, "1", None, 0.0, 1.0],
+                                  [math.inf, -0.5, "0.1", None, 0.1], [0.0, 1.0, 1e308])]
+    raised = 0
+    for omega0, delta0, L in designs:
+        want = _outcome(reference_cell, metric, omega0, delta0, 2.0 * L)
+        got = _outcome(partial(metric_value, metric, True), omega0, delta0, 2.0 * L)
+        assert got == want, (omega0, delta0, L)
+        raised += isinstance(want, tuple)
+    assert 0 < raised < len(designs)
+
+
 class TestClosedFormGuard:
     """A closed-form cell fails where the integrator's generator would: the
     generator is evaluated at -L and 0- first, whose mirrors +L and 0+ are
@@ -371,10 +416,11 @@ class TestRunSweep:
         assert np.all(res.grid >= 0.0)
         assert np.all(res.grid <= 1.0 + 1e-9)
 
-    @pytest.mark.parametrize("kw", LOOP_SPECS, ids=["sta", "raw", "direct-splitter"])
+    @pytest.mark.parametrize("kw", LOOP_SPECS, ids=["sta", "raw", "direct-splitter", "reduced_cd"])
     def test_equals_cell_loop(self, kw):
-        spec = small_spec(**kw)
-        assert run_sweep(spec).grid.tobytes() == cell_loop(spec).tobytes()
+        for omega0_lo in (0.5, 0.0):  # and with the degenerate omega0 = 0 column
+            spec = small_spec(omega0_lo=omega0_lo, **kw)
+            assert run_sweep(spec).grid.tobytes() == cell_loop(spec).tobytes()
 
     def test_workers_deprecated(self):
         spec = small_spec(sta=False)
