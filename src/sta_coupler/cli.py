@@ -142,6 +142,10 @@ def _config_argv(args: argparse.Namespace) -> list[str]:
         if isinstance(value, bool) and isinstance(getattr(args, key), bool):
             tokens.append(flag if value else "--no-" + flag[2:])
             continue
+        # a flag's value is one token: only an axis may be given as an object
+        if value is None or isinstance(value, list) or (
+                isinstance(value, dict) and not key.startswith("axis_")):
+            raise ValueError(f"config {key!r} cannot be {json.dumps(value)}")
         if isinstance(value, dict):
             if set(value) != set(_AXIS_KEYS):
                 raise ValueError(f"config {key!r} object needs exactly the keys "

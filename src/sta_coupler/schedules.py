@@ -20,6 +20,7 @@ evaluation there raises :class:`DiscontinuityError`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -138,11 +139,17 @@ def _raw(omega0: float, delta_left: float, half_length: float,
     return omega0 * sech, delta_left if sgn < 0 else -delta_left, k, sech
 
 
-def _cd_terms(omega: float, delta: float, k: float, sech: float,
-              z: float) -> tuple[float, float, float]:
-    """r = omega_a / omega = -(k/2) tanh(k z) delta / D, with D = omega^2 +
-    delta^2 the only divisor, and the STA schedules (omega_eff, delta_eff) at
-    z from :func:`_raw`'s terms, for omega0 and delta0 both nonzero."""
+def sta_schedule(omega0: float, delta_left: float, half_length: float,
+                 z: float, side: int) -> tuple[float, float, float, float, float]:
+    """Raw and STA schedules (omega, delta, r, omega_eff, delta_eff) at z for
+    a signed-mismatch model (see :func:`_raw`), with r = omega_a / omega =
+    -(k/2) tanh(k z) delta / D and D = omega^2 + delta^2 its only divisor;
+    z is not checked against the device."""
+    omega, delta, k, sech = _raw(omega0, delta_left, half_length, z, side)
+    if omega0 == 0.0 or delta_left == 0.0:
+        # theta is constant on each half: the counterdiabatic correction
+        # vanishes identically and the STA schedules reduce to the raw ones.
+        return omega, delta, 0.0, omega, delta
     tanh = math.tanh(k * z)
     denom = omega * omega + delta * delta
     try:
@@ -152,32 +159,7 @@ def _cd_terms(omega: float, delta: float, k: float, sech: float,
         # a subnormal omega0 and delta0 underflow the sum to 0
         raise FloatingPointError(f"omega^2 + delta^2 underflows at z={z}") from None
     r = rate * tanh
-    return r, math.hypot(omega, r * omega), delta - r_dot / (2.0 * (1.0 + r * r))
-
-
-def sta_drive(omega0: float, delta_left: float, half_length: float,
-              z: float, side: int = 0) -> tuple[float, float]:
-    """STA effective schedules (omega_eff, delta_eff) at z for a
-    signed-mismatch model (see :func:`_raw`), without the mixing angle, the
-    phase phi or a SchedulePoint; z is not checked against the device."""
-    omega, delta, k, sech = _raw(omega0, delta_left, half_length, z, side)
-    if omega0 == 0.0 or delta_left == 0.0:
-        return omega, delta  # no counterdiabatic correction (see _closed_form)
-    return _cd_terms(omega, delta, k, sech, z)[1:]
-
-
-def _closed_form(omega0: float, delta_left: float, half_length: float,
-                 z: float, side: int = 0) -> SchedulePoint:
-    """Evaluate all schedule quantities for a signed-mismatch model (see
-    :func:`_raw`)."""
-    omega, delta, k, sech = _raw(omega0, delta_left, half_length, z, side)
-    theta = math.atan2(omega, delta)
-    if omega0 == 0.0 or delta_left == 0.0:
-        # theta is constant on each half: the counterdiabatic correction
-        # vanishes identically and the STA schedules reduce to the raw ones.
-        return SchedulePoint(z, omega, delta, 0.0, 0.0, theta, omega, delta)
-    r, omega_eff, delta_eff = _cd_terms(omega, delta, k, sech, z)
-    return SchedulePoint(z, omega, delta, r * omega, math.atan(r), theta, omega_eff, delta_eff)
+    return omega, delta, r, math.hypot(omega, r * omega), delta - r_dot / (2.0 * (1.0 + r * r))
 
 
 def _rotate(angle: float, a: complex, b: complex) -> tuple[complex, complex]:
@@ -203,7 +185,7 @@ def adiabatic_transport(omega0: float, delta_left: float,
 
         (L / 2 pi) * (|delta| asinh(beta s) + omega0 atan2(alpha s, hypot(1, beta s)))
 
-    As in :func:`_closed_form`, delta_left is the signed left-half mismatch.
+    As in :func:`sta_schedule`, delta_left is the signed left-half mismatch.
     Phi's rounding error is about Phi * 2**-53 = Phi * 1.1e-16, so Phi above
     1e-4 / 2**-53 = 9.0e11 raises FloatingPointError: there the error would
     pass 1e-4, the loosest tol the package accepts.
@@ -239,7 +221,12 @@ def effective_schedule(p: ModelParams, z: float, side: int = 0) -> SchedulePoint
     the counterdiabatic coupling omega_a = theta_dot / 2 (even in z,
     non-negative, vanishing as z -> 0) and the STA effective quantities."""
     _check_position(p, z)
-    return _closed_form(p.omega0, p.delta0, p.half_length, z, side)
+    omega, delta, r, omega_eff, delta_eff = sta_schedule(
+        p.omega0, p.delta0, p.half_length, z, side)
+    # where r is 0, omega_a is r: a zero rate's +0.0 even where omega is -0.0
+    # or nan, and elsewhere the zero r * omega gives, as omega >= 0
+    return SchedulePoint(z, omega, delta, r * omega if r else r, math.atan(r),
+                         math.atan2(omega, delta), omega_eff, delta_eff)
 
 
 def drive(p: ModelParams, z: float, side: int = 0) -> tuple[float, float]:
@@ -248,20 +235,20 @@ def drive(p: ModelParams, z: float, side: int = 0) -> tuple[float, float]:
     need none of the counterdiabatic terms."""
     _check_position(p, z)
     if p.sta:
-        return sta_drive(p.omega0, p.delta0, p.half_length, z, side)
+        return sta_schedule(p.omega0, p.delta0, p.half_length, z, side)[3:]
     return _raw(p.omega0, p.delta0, p.half_length, z, side)[:2]
 
 
 def schedule_grid(p: ModelParams, zs: np.ndarray) -> SchedulePoint:
     """Schedule points over positions zs, each field an array over zs.
 
-    A sample exactly at the sign flip z = 0 takes the left limit (side = -1).
-    The positions are checked against the device once per grid; a non-finite
-    field raises FloatingPointError naming the first position where it occurs.
+    Each sample is evaluated by :func:`effective_schedule`, and one exactly
+    at the sign flip z = 0 takes the left limit (side = -1).  A sample outside
+    the device raises ValueError naming it, and a non-finite field raises
+    FloatingPointError naming the first position where it occurs.
     """
     zs = np.asarray(zs, dtype=float)
-    _check_position(p, np.max(np.abs(zs), initial=0.0))
-    points = [_closed_form(p.omega0, p.delta0, p.half_length, z, -1) for z in zs.tolist()]
+    points = [effective_schedule(p, z, -1) for z in zs.tolist()]
     fields = np.array(points).reshape(-1, len(SchedulePoint._fields)).T
     bad = ~np.isfinite(fields).all(axis=0)
     if bad.any():
@@ -271,6 +258,10 @@ def schedule_grid(p: ModelParams, zs: np.ndarray) -> SchedulePoint:
 
 def device_grid(p: ModelParams, samples: int) -> np.ndarray:
     """samples evenly spaced positions over the device [-L, L]."""
+    try:
+        operator.index(samples)
+    except TypeError:
+        raise ValueError(f"samples must be an integer, got {samples!r}") from None
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     # at 2L near the float maximum, linspace overflows computing its last

@@ -10,7 +10,7 @@ import numpy as np
 
 from .coupler import simulate
 from .propagation import _check_coefficients, _check_tol
-from .schedules import ModelParams, adiabatic_transport, check_finite, sta_drive
+from .schedules import ModelParams, adiabatic_transport, check_finite, sta_schedule
 from .splitter import MODES, SplitterParams, reduced_rates, simulate_splitter
 
 __all__ = [
@@ -127,6 +127,7 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     integrated adaptively with tolerance tol.
     """
     _check_metric(metric, splitter_mode)
+    _check_tol(tol)
     check_finite("total_length", total_length, 0.0)  # as given, not as its half
     half = total_length / 2.0
     if half == 0.0 < total_length:  # the smallest subnormal length
@@ -147,7 +148,7 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
         omega0, delta0 = reduced_rates(omega0, delta0)
     # fail as the integrator would; +L and 0+ mirror -L and 0-, D negated
     for z, side in ((-half, 0), (0.0, -1)):
-        _check_coefficients(sta_drive(omega0, delta0, half, z, side), z)
+        _check_coefficients(sta_schedule(omega0, delta0, half, z, side)[3:], z)
     transfer = adiabatic_transport(omega0, delta0, half)[1]
     return transfer if metric == "final_i2" else abs(0.5 * transfer - 0.5)
 

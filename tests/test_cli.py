@@ -669,6 +669,23 @@ class TestConfig:
         assert code == EXIT_USAGE
         assert "axis_x" in err
 
+    @pytest.mark.parametrize("command, key, value, shown", [
+        ("check", "output", None, "null"),
+        ("check", "output", ["a.json"], '["a.json"]'),
+        ("profile", "output", {"path": "a.csv"}, '{"path": "a.csv"}'),
+        ("sweep", "axis_x", None, "null"),
+    ], ids=["null", "array", "object", "null-axis"])
+    def test_config_value_kind_rejected(self, command, key, value, shown, tmp_path,
+                                        monkeypatch, capsys):
+        # a flag takes one token, so these would become files named None or
+        # ['a.json']; only an axis may be an object
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({command: {
+            "omega0": 1.5, "delta0": 0.1, "total_length": 25.0, key: value}}))
+        code, out, err = run(capsys, command, "--config", "cfg.json")
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: config {key!r} cannot be {shown}\n")
+        assert os.listdir() == ["cfg.json"]
+
     @pytest.mark.parametrize("key,value,flag", [
         ("omega0", "abc", "--omega0"),
         ("omega0", True, "--omega0"),

@@ -194,14 +194,18 @@ def _fields(schedule, *args):
 
 def test_sta_drive_is_effective_schedule():
     # drive's fields-only STA path against the full schedule point, bit for
-    # bit, over a log-scale lattice with zero rates, at z = 0 on both sides
+    # bit, over a log-scale lattice with signed zero rates, at z = 0 on both
+    # sides; a zero rate has no counterdiabatic term, so omega_a and phi are +0
     points = 0
-    for omega0, delta0, L in itertools.product([0.0, *RATES], [0.0, *RATES], HALF_LENGTHS):
+    rates = [0.0, -0.0, *RATES]
+    for omega0, delta0, L in itertools.product(rates, rates, HALF_LENGTHS):
         p = ModelParams(omega0, delta0, L, sta=True)
         for z, side in ((-L, 0), (-0.5 * L, 0), (0.0, -1), (0.0, +1), (0.5 * L, 0), (L, 0)):
             point = _fields(effective_schedule, p, z, side)
             want = point[-2:] if isinstance(point, list) else point
             assert _fields(drive, p, z, side) == want, (omega0, delta0, L, z, side)
+            if isinstance(point, list) and 0.0 in (omega0, delta0):
+                assert point[3:5] == [_bits(0.0)] * 2, (omega0, delta0, L, z, side)
             points += isinstance(point, list)
     assert points > 1000
 
@@ -223,7 +227,8 @@ class TestScheduleGrid:
 
     @pytest.mark.parametrize("z", [13.0, -13.0, math.nan])
     def test_positions_checked(self, z):
-        with pytest.raises(ValueError, match="outside the device"):
+        # the message names the offending sample, not max |z|
+        with pytest.raises(ValueError, match=rf"^position z={z} outside the device"):
             schedule_grid(FIG2, [0.0, z, 1.0])
 
     def test_non_finite_schedule_names_first_position(self):
@@ -291,6 +296,11 @@ class TestDiagnostics:
     def test_samples_validation(self):
         with pytest.raises(ValueError):
             diagnostics(FIG2, 1)
+
+    def test_samples_must_be_integer(self):
+        with pytest.raises(ValueError, match=r"^samples must be an integer, got 10\.0$"):
+            diagnostics(FIG2, 10.0)
+        assert diagnostics(FIG2, np.int64(10)) == diagnostics(FIG2, 10)
 
     def test_edge_ratio_closed_form(self):
         # |omega_a|/|omega| peaks at the device edges where it approaches

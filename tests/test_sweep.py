@@ -160,8 +160,8 @@ class TestValidation:
     @pytest.mark.parametrize("tol", [1.0, 1e-13, math.nan, "1e-8", None, [1e-8]])
     @pytest.mark.parametrize("sta", [True, False])
     def test_tol_range(self, tol, sta):
-        # checked once here: closed-form cells never reach the integrator;
-        # a value that does not compare is named too, not a TypeError
+        # checked when the spec is built, before any cell runs; a value
+        # that does not compare is named too, not a TypeError
         with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-4\], got "
                            + re.escape(repr(tol))):
             small_spec(sta=sta, tol=tol)
@@ -172,6 +172,15 @@ class TestValidation:
             SweepSpec(axis_x=AxisSpec("delta0", 0.0, 1.0, 2),
                       axis_y=AxisSpec("total_length", 1.0, 2.0, 2),
                       fixed={"omega0": 0.0}, tol=1.0)
+
+    @pytest.mark.parametrize("tol", ["abc", 5.0, 1e-13])
+    @pytest.mark.parametrize("sta, omega0", [(True, 1.5), (False, 1.5), (True, 0.0)],
+                             ids=["closed-form", "integrated", "degenerate"])
+    def test_metric_value_tol_range(self, tol, sta, omega0):
+        # on every branch, also where no integrator would see tol
+        with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-4\], got "
+                           + re.escape(repr(tol))):
+            metric_value("final_i2", sta, omega0, 0.1, 25.0, tol=tol)
 
 
 SEEDED = [tuple(float(v) for v in row) for row in np.random.default_rng(5).uniform(
