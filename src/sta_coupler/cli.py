@@ -232,6 +232,8 @@ def _cmd_splitter(args) -> int:
 
 def _cmd_sweep(args) -> int:
     _require(args, "axis_x", "axis_y")
+    if args.axis_x.name == args.axis_y.name:
+        raise ValueError(f"--axis-x and --axis-y both sweep {args.axis_x.name}")
     axes = {args.axis_x.name: "--axis-x", args.axis_y.name: "--axis-y"}
     fixed = {}
     for name in PARAMETERS:

@@ -18,9 +18,8 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 def build_h2(p: ModelParams) -> HamiltonianSpec:
     """2x2 generator omega*sigma_x + delta*sigma_z from the raw or
-    STA-effective schedules (see :func:`drive`), with the sign flip
-    registered at z = 0."""
-    return HamiltonianSpec((_SIGMA_X, _SIGMA_Z), partial(drive, p), discontinuities=(0.0,))
+    STA-effective schedules (see :func:`drive`)."""
+    return HamiltonianSpec((_SIGMA_X, _SIGMA_Z), partial(drive, p))
 
 
 def simulate(p: ModelParams, input_guide: int = 1, tol: float = 1e-10) -> Trajectory:

@@ -1,12 +1,11 @@
-"""Propagation backends for i dc/dz = H(z) c with a known discontinuity.
+"""Propagation backends for i dc/dz = H(z) c, split at the sign flip z = 0.
 
 Two independent integrators are provided and used as mutual oracles:
 
 * :func:`propagate_adaptive` -- adaptive embedded Runge-Kutta (DOP853, a
-  port of scipy's ``solve_ivp`` that takes the same steps) with the
-  integration hard-split at every listed discontinuity, so no step
-  straddles the sign-flip point.  The norm is never renormalized; its
-  drift is a quality diagnostic.
+  port of scipy's ``solve_ivp`` that takes the same steps), hard-split at
+  z = 0 so no step straddles the sign flip.  The norm is never
+  renormalized; its drift is a quality diagnostic.
 * :func:`propagate_pwc` -- product of exact unitary exponentials of H
   frozen at cell midpoints.  Exactly norm-preserving up to roundoff and
   second-order accurate in the step size.
@@ -43,13 +42,13 @@ class HamiltonianSpec:
     terms are constant Hermitian (dim, dim) matrices, dim 2 or 3, checked
     once here; coefficients(z, side) returns the real rates f_k in 1/mm.  A
     real combination of Hermitian terms is Hermitian, so matrix() checks
-    only that the coefficients are real, finite and one per term.  `side` is
-    consulted only when z coincides with one of the listed discontinuities.
+    only that the coefficients are real, finite and one per term.  The
+    backends pass side = -1 (left limit) or +1 (right limit) at the sign
+    flip z = 0, and 0 elsewhere.
     """
 
     terms: tuple[np.ndarray, ...]
     coefficients: Callable[[float, int], Sequence[float]]
-    discontinuities: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         terms = tuple(np.array(t, dtype=complex) for t in self.terms)
@@ -123,12 +122,12 @@ def _check_initial_state(c0: np.ndarray, dim: int) -> np.ndarray:
     return c0
 
 
-def _segments(h: HamiltonianSpec, z_from: float, z_to: float) -> list[tuple[float, float]]:
+def _segments(z_from: float, z_to: float) -> list[tuple[float, float]]:
     if not z_from < z_to:
         raise ValueError(f"need z_from < z_to, got [{z_from}, {z_to}]")
-    cuts = sorted(d for d in h.discontinuities if z_from < d < z_to)
-    edges = [z_from, *cuts, z_to]
-    return list(zip(edges[:-1], edges[1:]))
+    if z_from < 0.0 < z_to:
+        return [(z_from, 0.0), (0.0, z_to)]
+    return [(z_from, z_to)]
 
 
 def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, list], list]:
@@ -141,9 +140,9 @@ def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, list], list
     components.
     """
     coefficients_at, dim = h._checked, h.dim
-    # within the open segment the side tag is irrelevant; at an end that is
-    # a discontinuity, evaluate one-sided towards the segment interior
-    left, right = a in h.discontinuities, b in h.discontinuities
+    # the side tag matters only at the sign flip, which a segment can only
+    # start or end at: evaluate one-sided towards the segment interior
+    at_flip = +1 if a == 0.0 else -1 if b == 0.0 else 0
     # in column order, as a matrix-vector product adds them: where no two
     # terms share an entry, each product and sum is then the one that
     # -1j * (matrix(z) @ y) rounds, unless numpy's product fuses them
@@ -155,7 +154,7 @@ def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, list], list
         # propagate_adaptive's errstate where Python floats give the inf or
         # nan that the coefficient check reports as a non-finite schedule
         z = float(z)
-        f = coefficients_at(z, +1 if left and z == a else -1 if right and z == b else 0)
+        f = coefficients_at(z, at_flip if z == 0.0 else 0)
         out = []
         for row in rows:
             acc = 0j
@@ -372,14 +371,14 @@ def _dop853(fun: Callable[[float, list], list], a: float, b: float,
 
 def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
                        z_to: float, tol: float = 1e-10) -> Trajectory:
-    """Adaptive RK integration of i dc/dz = H(z) c, split at discontinuities."""
+    """Adaptive RK integration of i dc/dz = H(z) c, split at the sign flip."""
     _check_tol(tol)
     c = _check_initial_state(c0, h.dim)
 
     zs: list[np.ndarray] = []
     states: list[np.ndarray] = []
     nfev = 0
-    for a, b in _segments(h, z_from, z_to):
+    for a, b in _segments(z_from, z_to):
         try:
             # stop at an overflow, not when the step shrinks below the spacing;
             # underflow, as of min_step at z = 0, is no error in any caller's state
@@ -443,7 +442,7 @@ def propagate_pwc(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
                   z_to: float, steps: int) -> Trajectory:
     """Piecewise-constant unitary-product propagation (midpoint rule)."""
     c = _check_initial_state(c0, h.dim)
-    segments = _segments(h, z_from, z_to)
+    segments = _segments(z_from, z_to)
     counts = _allocate_steps(segments, steps)
 
     n_samples = sum(counts) + 1

@@ -14,7 +14,7 @@ effective schedules
 
 All positions are in mm, all rates in 1/mm.  Point evaluation exactly at
 the sign-flip point z = 0 must be side-tagged (side = -1 or +1); untagged
-evaluation there raises :class:`DiscontinuityError`.
+evaluation there raises ValueError.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "ModelParams",
     "SchedulePoint",
     "Diagnostics",
-    "DiscontinuityError",
     "adiabatic_transport",
     "effective_schedule",
     "schedule_grid",
@@ -54,10 +53,6 @@ def check_finite(name: str, value, minimum: float = -math.inf) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
-
-
-class DiscontinuityError(ValueError):
-    """Untagged evaluation at the sign-flip point z = 0."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ def _resolve_side(z: float, side: int) -> int:
         return +1
     if side in (-1, +1):
         return side
-    raise DiscontinuityError(
+    raise ValueError(
         "evaluation at z = 0 requires side=-1 or side=+1 (mismatch sign flip)"
     )
 

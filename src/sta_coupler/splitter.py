@@ -69,8 +69,7 @@ def build_h3(sp: SplitterParams) -> HamiltonianSpec:
     coupling sqrt(2)*W and mismatch D/2 fold 1/sqrt(2) and 2 into the terms."""
     q = sp.design
     w, d = (1.0, 1.0) if q is sp.base else (math.sqrt(0.5), 2.0)
-    return HamiltonianSpec((w * _OUTER_COUPLINGS, d * _MIDDLE_MISMATCH),
-                           partial(drive, q), discontinuities=(0.0,))
+    return HamiltonianSpec((w * _OUTER_COUPLINGS, d * _MIDDLE_MISMATCH), partial(drive, q))
 
 
 def simulate_splitter(sp: SplitterParams, tol: float = 1e-10) -> Trajectory:

@@ -67,6 +67,22 @@ class TestProfile:
         assert code == EXIT_USAGE
         assert "error" in err
 
+    def test_sta_is_recorded_and_inert(self, capsys):
+        # profile and check evaluate the raw and the counterdiabatic fields
+        # either way; only the provenance tells --sta from --no-sta
+        for command in ("profile", "check"):
+            fmt = ["--samples", "9"] + (["--format", "json"] if command == "profile" else [])
+            docs = []
+            for flag in ("--sta", "--no-sta"):
+                code, out, _ = run(capsys, command, *MODEL, *fmt, flag)
+                assert code == EXIT_OK
+                docs.append(json.loads(out))
+            assert [d["provenance"]["inputs"].pop("sta") for d in docs] == [True, False]
+            assert docs[0] == docs[1]
+        csvs = [run(capsys, "profile", *MODEL, "--samples", "9", flag)[1]
+                for flag in ("--sta", "--no-sta")]
+        assert csvs[0] == csvs[1]
+
 
 class TestSimulate:
     def test_final_transfer_in_output(self, capsys):
@@ -188,6 +204,18 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert f"{flag} fixes" in err and f"which {axis} sweeps" in err
         assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("fixed", [[], ["--omega0", "1", "--delta0", "0.1"],
+                                       ["--delta0", "0.1"]], ids=["none", "both", "delta0"])
+    def test_duplicate_axes(self, fixed, tmp_path, capsys):
+        # named before the fixed flags, whichever of them are given
+        path = tmp_path / "grid.csv"
+        code, out, err = run(capsys, "sweep", "--axis-x", "omega0:0:1:2", "--axis-y",
+                             "omega0:0:1:2", "--total-length", "1", *fixed,
+                             "--output", str(path))
+        assert (code, out, err) == (EXIT_USAGE, "",
+                                    "error: --axis-x and --axis-y both sweep omega0\n")
+        assert not path.exists()
 
     def test_missing_fixed_parameter(self, capsys):
         code, _, err = run(capsys, "sweep", "--axis-x", "omega0:0.5:2:2",

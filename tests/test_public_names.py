@@ -31,9 +31,8 @@ MODULES = {
     "coupler": ["adiabatic_projection", "build_h2", "simulate"],
     "propagation": ["HamiltonianSpec", "StiffnessError", "Trajectory",
                     "propagate_adaptive", "propagate_pwc"],
-    "schedules": ["Diagnostics", "DiscontinuityError", "ModelParams", "SchedulePoint",
-                  "adiabatic_transport", "diagnostics", "drive", "effective_schedule",
-                  "schedule_grid"],
+    "schedules": ["Diagnostics", "ModelParams", "SchedulePoint", "adiabatic_transport",
+                  "diagnostics", "drive", "effective_schedule", "schedule_grid"],
     "serialize": ["format_float", "write_csv", "write_json"],
     "splitter": ["SplitterParams", "build_h3", "simulate_splitter"],
     "sweep": ["AxisSpec", "SweepResult", "SweepSpec", "TargetNotReached",

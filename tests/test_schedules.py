@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 import adiabatic_oracle as oracle
 from test_sweep import HALF_LENGTHS, RATES, _bits
 from sta_coupler.schedules import (
-    DiscontinuityError,
     ModelParams,
     adiabatic_transport,
     diagnostics,
@@ -43,7 +42,7 @@ class TestRawSchedule:
             assert omega == pytest.approx(expected, rel=1e-14)
 
     def test_untagged_midpoint_raises(self):
-        with pytest.raises(DiscontinuityError):
+        with pytest.raises(ValueError, match=r"^evaluation at z = 0 requires side"):
             effective_schedule(FIG2, 0.0)
 
     def test_outside_device_raises(self):
@@ -181,7 +180,7 @@ class TestEffectiveSchedule:
             assert abs(phi_dot - phi_dot_fd) / max(abs(phi_dot_fd), 1e-12) <= 1e-6
 
     def test_untagged_midpoint_raises(self):
-        with pytest.raises(DiscontinuityError):
+        with pytest.raises(ValueError, match=r"^evaluation at z = 0 requires side"):
             effective_schedule(FIG2, 0.0)
 
 
