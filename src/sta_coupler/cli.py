@@ -44,14 +44,19 @@ def _axis(text: str) -> AxisSpec:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _add_model_args(sp: argparse.ArgumentParser, length: bool = True) -> None:
+def _add_model_args(sp: argparse.ArgumentParser, length: bool = True,
+                    sta_help: str = "use the counterdiabatic effective schedules") -> None:
     sp.add_argument("--omega0", type=float, help="maximum coupling, 1/mm")
     sp.add_argument("--delta0", type=float, help="phase mismatch magnitude, 1/mm")
     if length:
         sp.add_argument("--total-length", type=float, dest="total_length",
                         help="device length 2L, mm")
     sp.add_argument("--sta", action=argparse.BooleanOptionalAction, default=False,
-                    help="use the counterdiabatic effective schedules")
+                    help=sta_help)
+
+
+# profile and check evaluate the raw and the counterdiabatic fields either way
+_STA_RECORDED = "no effect on the values; only recorded in the JSON provenance"
 
 
 def _add_output_args(sp: argparse.ArgumentParser) -> None:
@@ -67,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="emit the coupling/mismatch schedules")
-    _add_model_args(p)
+    _add_model_args(p, sta_help=_STA_RECORDED)
     p.add_argument("--samples", type=int, default=1000, help="number of z samples")
     _add_output_args(p)
 
@@ -102,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-10)
 
     p = sub.add_parser("check", help="adiabaticity and coupling-bound diagnostics (JSON)")
-    _add_model_args(p)
+    _add_model_args(p, sta_help=_STA_RECORDED)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--output", default="-", help="output path ('-' for stdout)")
 

@@ -407,8 +407,8 @@ def _allocate_steps(segments: list[tuple[float, float]], steps: int) -> list[int
         raise ValueError(f"steps must be >= 1, got {steps}")
     if steps < len(segments):
         raise ValueError(
-            f"grid not alignable: {steps} steps cannot place a cell boundary "
-            f"at every discontinuity ({len(segments)} segments needed)"
+            f"grid not alignable: a cell boundary must fall on the sign flip "
+            f"z = 0, which needs at least {len(segments)} steps, got {steps}"
         )
     total = sum(b - a for a, b in segments)
     counts = [max(1, round(steps * (b - a) / total)) for a, b in segments]

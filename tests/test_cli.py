@@ -83,6 +83,18 @@ class TestProfile:
                 for flag in ("--sta", "--no-sta")]
         assert csvs[0] == csvs[1]
 
+    def test_sta_help(self, capsys):
+        # the help of the two commands where --sta is inert says so
+        inert = "--sta, --no-sta no effect on the values; only recorded in the JSON provenance"
+        acts = "--sta, --no-sta use the counterdiabatic effective schedules"
+        for command in ("profile", "check", "simulate", "splitter", "sweep", "threshold"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--help"])
+            assert exc.value.code == EXIT_OK
+            text = " ".join(capsys.readouterr().out.split())
+            is_inert = command in ("profile", "check")
+            assert (inert in text, acts in text) == (is_inert, not is_inert), command
+
 
 class TestSimulate:
     def test_final_transfer_in_output(self, capsys):

@@ -66,8 +66,10 @@ class TestValidation:
     def test_unalignable_grid_rejected(self):
         # one cell cannot have a boundary at the sign flip z = 0
         h = HamiltonianSpec((np.eye(2),), lambda z, s: (1.0,))
-        with pytest.raises(ValueError, match="not alignable"):
+        with pytest.raises(ValueError) as exc:
             propagate_pwc(h, UP, -1.0, 1.0, steps=1)
+        assert str(exc.value) == ("grid not alignable: a cell boundary must fall on the "
+                                  "sign flip z = 0, which needs at least 2 steps, got 1")
 
 
 class TestSpecContract:

@@ -188,23 +188,50 @@ SEEDED = [tuple(float(v) for v in row) for row in np.random.default_rng(5).unifo
 DESIGNS = [(1.5, 0.1, 25.0), (1.5, 0.0, 25.0), *SEEDED]  # (omega0, delta0, total_length)
 
 
+# raw designs for the tol contract: Delta0 = 0, the sweep benchmark's anchor
+# cell, a large Omega0*L design, and a seeded draw over
+# Omega0, Delta0 in [0.05, 5] and 2L in {2, 10, 25}
+_RNG = np.random.default_rng(11)
+_RATES, _LENGTHS = _RNG.uniform(0.05, 5.0, size=(16, 2)), _RNG.choice([2.0, 10.0, 25.0], size=16)
+MIRROR_DESIGNS = [(3.0, 0.2, 10.0), (1.5, 0.0, 25.0), (4.0, 0.0, 10.0), (30.0, 3.0, 10.0),
+                  *((float(o), float(d), float(n)) for (o, d), n in zip(_RATES, _LENGTHS))]
+
+
 def _reduced_cd_infidelity(omega0, delta0, total_length):
     # the (middle, bright) system: middle-guide input is its guide 1
     _, bright = adiabatic_transport(math.sqrt(2.0) * omega0, 0.5 * delta0, total_length / 2.0)
     return abs(0.5 * bright - 0.5)
 
 
+def mirrored_cell(p, tol):
+    """A raw final_i2 cell written out: guide 1 propagated over [-L, 0] at
+    tol/16 (not below the integrator's 1e-12), then the right half as the
+    left half's mirror, which sends U_L e1 = (a, b) to (|a|^2 - |b|^2, 2ab),
+    with (a, b) divided by its norm."""
+    a, b = propagate_adaptive(build_h2(p), np.array([1.0, 0.0], dtype=complex),
+                              -p.half_length, 0.0, max(tol / 16, 1e-12)).final_state.tolist()
+    pa, pb = abs(a) ** 2, abs(b) ** 2
+    return 4.0 * pa * pb / (pa + pb) ** 2
+
+
+def exact_i2(p):
+    """I2 of a whole-device run at the tightest tolerance."""
+    return float(simulate(p, tol=1e-12).final_intensities[1])
+
+
 class TestMetricValue:
     def test_matches_direct_simulation(self):
-        # a raw cell is the simulation itself; an STA cell is the closed form,
-        # which a tight integration reproduces
+        # a raw cell is the mirrored left-half run, within tol of a tight
+        # whole-device run; an STA cell is the closed form, which a tight
+        # integration reproduces
         for sta in (False, True):
             p = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=sta)
             value = metric_value("final_i2", sta, 1.5, 0.1, 25.0)
             if sta:
                 assert abs(value - simulate(p, tol=1e-10).final_intensities[1]) <= 1e-8
             else:
-                assert value == simulate(p, tol=1e-8).final_intensities[1]
+                assert value == mirrored_cell(p, 1e-8)
+                assert abs(value - exact_i2(p)) <= 1e-8
 
     @pytest.mark.parametrize("design", DESIGNS)
     def test_sta_is_closed_form(self, design):
@@ -229,10 +256,50 @@ class TestMetricValue:
     @pytest.mark.parametrize("design", DESIGNS[:3])
     def test_integrated_cells_match_simulation(self, design):
         p = ModelParams(design[0], design[1], design[2] / 2.0, sta=False)
-        assert metric_value("final_i2", False, *design) == simulate(p, tol=1e-8).final_intensities[1]
+        value = metric_value("final_i2", False, *design)
+        assert value == mirrored_cell(p, 1e-8)
+        assert abs(value - exact_i2(p)) <= 1e-8
         direct = SplitterParams(ModelParams(p.omega0, p.delta0, p.half_length, True), "direct")
         assert (metric_value("splitting_infidelity", True, *design, splitter_mode="direct")
                 == splitting_infidelity(simulate_splitter(direct, tol=1e-8)))
+
+    @pytest.mark.parametrize("sta", [False, True])
+    @pytest.mark.parametrize("design", [(3.0, 0.2, 10.0), (1.5, 0.0, 25.0), (5.0, 1.0, 2.0)])
+    def test_mirror_identity(self, design, sta):
+        # the right half is the left half's mirror: U_L has the form
+        # [[a, -b*], [b, a*]], and sigma_x U_L^T sigma_x U_L is the whole run
+        omega0, delta0, total = design
+        p = ModelParams(omega0, delta0, total / 2.0, sta=sta)
+        h, sx = build_h2(p), np.array([[0.0, 1.0], [1.0, 0.0]])
+        u_left = np.column_stack([propagate_adaptive(h, e, -p.half_length, 0.0, 1e-12).final_state
+                                  for e in np.eye(2, dtype=complex)])
+        (a, minus_b_conj), (b, a_conj) = u_left
+        assert abs(minus_b_conj + b.conjugate()) <= 1e-9
+        assert abs(a_conj - a.conjugate()) <= 1e-9
+        whole = propagate_adaptive(h, np.eye(2, dtype=complex)[0], -p.half_length,
+                                   p.half_length, 1e-12).final_state
+        assert np.max(np.abs(sx @ u_left.T @ sx @ u_left[:, 0] - whole)) <= 1e-9
+
+    @pytest.mark.parametrize("design", MIRROR_DESIGNS)
+    def test_raw_cell_within_tol_of_exact(self, design):
+        omega0, delta0, total = design
+        exact = exact_i2(ModelParams(omega0, delta0, total / 2.0))
+        for tol in (1e-4, 1e-6, 1e-8):
+            assert abs(metric_value("final_i2", False, *design, tol=tol) - exact) <= tol, tol
+
+    def test_tol_floor(self):
+        # below tol 1.6e-11 the left half runs at the integrator's floor 1e-12
+        p = ModelParams(3.0, 0.2, 5.0)
+        value = metric_value("final_i2", False, 3.0, 0.2, 10.0, tol=1e-12)
+        assert value == mirrored_cell(p, 1e-12)
+        assert value == metric_value("final_i2", False, 3.0, 0.2, 10.0, tol=1.5e-11)
+        assert value != metric_value("final_i2", False, 3.0, 0.2, 10.0, tol=1.6e-10)
+        assert abs(value - exact_i2(p)) <= 1e-11
+
+    def test_raw_overflow_names_left_half(self):
+        with pytest.raises(FloatingPointError,
+                           match=r"^overflow encountered in \w+ on \[-5\.0, 0\.0\]$"):
+            metric_value("final_i2", False, 1.7e308, 1.7e308, 10.0, tol=1e-6)
 
     def test_degenerate_zero_coupling(self):
         assert metric_value("final_i2", True, 0.0, 0.1, 10.0) == 0.0
@@ -448,7 +515,7 @@ class TestRunSweep:
         for kw, backend in [
             ({}, "adiabatic-closed-form"),
             ({"metric": "splitting_infidelity"}, "adiabatic-closed-form"),
-            ({"sta": False}, "adaptive-dop853"),
+            ({"sta": False}, "adaptive-dop853-mirror"),
             ({"metric": "splitting_infidelity", "splitter_mode": "direct"}, "adaptive-dop853"),
         ]:
             assert run_sweep(small_spec(**kw)).backend == backend, kw
