@@ -5,13 +5,14 @@ from __future__ import annotations
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .coupler import build_h2
-from .propagation import _check_coefficients, _check_tol, propagate_adaptive
-from .schedules import ModelParams, adiabatic_transport, check_finite, sta_schedule
-from .splitter import MODES, SplitterParams, reduced_rates, simulate_splitter
+from .propagation import HamiltonianSpec, _check_coefficients, _check_tol, propagate_adaptive
+from .schedules import ModelParams, adiabatic_transport, check_finite, drive, sta_schedule
+from .splitter import MODES, reduced_rates
 
 __all__ = [
     "AxisSpec",
@@ -27,6 +28,7 @@ __all__ = [
 PARAMETERS = ("omega0", "delta0", "total_length")
 METRICS = ("final_i2", "splitting_infidelity")
 _COARSE_POINTS = 100  # threshold_length's scan grid over the search range
+_PAIR_TERMS = (np.sqrt([[0.0, 2.0], [2.0, 0.0]]), np.diag([0.5, -0.5]))  # see _splitter_pair
 
 
 class TargetNotReached(RuntimeError):
@@ -108,13 +110,18 @@ def _check_metric(metric: str, splitter_mode: str) -> None:
 
 
 def _closed_form_applies(metric: str, sta: bool, splitter_mode: str) -> bool:
-    """STA cells of the two-guide coupler and of the reduced_cd splitter
-    follow their adiabatic states exactly (see adiabatic_transport)."""
+    """STA final_i2 and reduced_cd cells follow their adiabatic states exactly."""
     return sta and (metric == "final_i2" or splitter_mode == "reduced_cd")
 
 
-def _mirrored_i2(p: ModelParams, tol: float) -> float:
-    """I2 over [-L, L] for guide-1 input, from one run over [-L, 0].
+def _splitter_pair(p: ModelParams) -> HamiltonianSpec:
+    """sqrt(2) W sigma_x + (D / 2) sigma_z on drive(p): a raw or direct
+    array's (middle, bright) pair, middle first, less its (D / 2) I term."""
+    return HamiltonianSpec(_PAIR_TERMS, partial(drive, p))
+
+
+def _mirrored_i2(h: HamiltonianSpec, half_length: float, tol: float) -> float:
+    """I2 of h over [-L, L] for guide-1 input, from one run over [-L, 0].
 
     The coupling is even in z and the mismatch odd, so sigma_x H(-z) sigma_x
     = H(z) with H real, and the right half's propagator is the left half's
@@ -123,11 +130,10 @@ def _mirrored_i2(p: ModelParams, tol: float) -> float:
     (|a|^2 - |b|^2, 2ab) and I2 = 4 |a|^2 |b|^2.  The exact (a, b) has unit
     norm; dividing by the computed norm removes the integrator's norm
     drift, the larger part of its error.  The left half runs at tol / 16,
-    the divisor at which a whole-device run meets tol over a seeded design
-    set, but never below the integrator's floor of 1e-12.
+    which meets tol over a seeded design set, or at the floor 1e-12.
     """
     left_tol = max(tol / 16, 1e-12)
-    state = propagate_adaptive(build_h2(p), (1.0, 0.0), -p.half_length, 0.0, left_tol)
+    state = propagate_adaptive(h, (1.0, 0.0), -half_length, 0.0, left_tol)
     a, b = state.final_state.tolist()
     pa, pb = abs(a) ** 2, abs(b) ** 2
     return 4.0 * pa * pb / (pa + pb) ** 2
@@ -137,15 +143,15 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
                  total_length: float, tol: float = 1e-8,
                  splitter_mode: str = "reduced_cd") -> float:
     """Metric for one parameter point: final_i2 is I2 for guide-1 input,
-    splitting_infidelity is max(|I1 - 1/2|, |I3 - 1/2|) for middle-guide
-    input.  Degenerate points (zero coupling or zero length) reduce to
-    identity propagation of the input state.
+    splitting_infidelity is max(|I1 - 1/2|, |I3 - 1/2|) = |I_bright / 2 - 1/2|
+    for middle-guide input.  Degenerate points (zero coupling or zero length)
+    reduce to identity propagation of the input state.
 
     STA final_i2 and STA reduced_cd splitting_infidelity are evaluated in
     closed form (:func:`adiabatic_transport`), after the integrator's
-    coefficients are checked finite at -L and 0-.  Raw final_i2 integrates
-    the left half only, at tol / 16, and mirrors it (see _mirrored_i2);
-    direct splitting_infidelity integrates the whole array at tol.
+    coefficients are checked finite at -L and 0-.  Every other cell mirrors
+    a left-half run at tol / 16 (see _mirrored_i2) of the two-guide
+    generator or of the array's (middle, bright) pair (see _splitter_pair).
     """
     _check_metric(metric, splitter_mode)
     _check_tol(tol)
@@ -158,26 +164,24 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     if omega0 == 0.0 or half == 0.0:
         # input stays put: I2 = 0 for guide-1 input, I1 = I3 = 0 for the splitter
         return 0.0 if metric == "final_i2" else 0.5
-    if not _closed_form_applies(metric, sta, splitter_mode):
+    if _closed_form_applies(metric, sta, splitter_mode):
+        if metric == "splitting_infidelity":  # SplitterParams.design, as floats
+            omega0, delta0 = reduced_rates(omega0, delta0)
+        # fail as the integrator would; +L and 0+ mirror -L and 0-, D negated
+        for z, side in ((-half, 0), (0.0, -1)):
+            _check_coefficients(sta_schedule(omega0, delta0, half, z, side)[3:], z)
+        transfer = adiabatic_transport(omega0, delta0, half)[1]
+    else:
         p = ModelParams(omega0=omega0, delta0=delta0, half_length=half, sta=sta)
-        if metric == "final_i2":
-            return _mirrored_i2(p, tol)
-        traj = simulate_splitter(SplitterParams(p, splitter_mode), tol=tol)
-        i1, _, i3 = (float(x) for x in traj.final_intensities)
-        return max(abs(i1 - 0.5), abs(i3 - 0.5))
-    if metric == "splitting_infidelity":  # SplitterParams.design, as floats
-        omega0, delta0 = reduced_rates(omega0, delta0)
-    # fail as the integrator would; +L and 0+ mirror -L and 0-, D negated
-    for z, side in ((-half, 0), (0.0, -1)):
-        _check_coefficients(sta_schedule(omega0, delta0, half, z, side)[3:], z)
-    transfer = adiabatic_transport(omega0, delta0, half)[1]
+        h = build_h2(p) if metric == "final_i2" else _splitter_pair(p)
+        transfer = _mirrored_i2(h, half, tol)
     return transfer if metric == "final_i2" else abs(0.5 * transfer - 0.5)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the metric over the rectangular grid, one cell after another
-    and row-major over the y axis.  The result's backend names how the cells
-    were evaluated (see :func:`metric_value`).
+    and row-major over the y axis.  Its backend, adiabatic-closed-form or
+    adaptive-dop853-mirror, names how the cells ran (see :func:`metric_value`).
 
     workers is deprecated and ignored: the cells are GIL-bound Python, so a
     thread pool never sped them up, and they always run serially.
@@ -194,12 +198,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                                     PARAMETERS))
     rows = [[metric_value(spec.metric, spec.sta, *cell((x, y, fixed_value)), spec.tol,
                           spec.splitter_mode) for x in xs.tolist()] for y in ys.tolist()]
-    if _closed_form_applies(spec.metric, spec.sta, spec.splitter_mode):
-        backend = "adiabatic-closed-form"
-    elif spec.metric == "final_i2":
-        backend = "adaptive-dop853-mirror"
-    else:
-        backend = "adaptive-dop853"
+    closed_form = _closed_form_applies(spec.metric, spec.sta, spec.splitter_mode)
+    backend = "adiabatic-closed-form" if closed_form else "adaptive-dop853-mirror"
     return SweepResult(grid=np.array(rows), x_values=xs, y_values=ys, backend=backend)
 
 

@@ -7,6 +7,7 @@ from sta_coupler import splitter
 from sta_coupler.propagation import HamiltonianSpec, Trajectory, propagate_adaptive
 from sta_coupler.schedules import ModelParams, drive, effective_schedule
 from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter
+from sta_coupler.sweep import _splitter_pair
 
 BASE = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=True)
 BASE_RAW = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=False)
@@ -14,7 +15,9 @@ ROBUST = ModelParams(omega0=3.0, delta0=0.2, half_length=5.0, sta=True)  # accep
 
 
 def splitting_infidelity(traj: Trajectory) -> float:
-    """max(|I1 - 1/2|, |I3 - 1/2|) of the final state, as metric_value scores it."""
+    """max(|I1 - 1/2|, |I3 - 1/2|) of a whole-array run's final state: the
+    splitting infidelity, which metric_value scores as |I_bright / 2 - 1/2|
+    of the (middle, bright) pair without running the array."""
     i1, _, i3 = (float(x) for x in traj.final_intensities)
     return max(abs(i1 - 0.5), abs(i3 - 0.5))
 
@@ -61,6 +64,12 @@ class TestConstruction:
                               [[0, w, 0], [w, d, w], [0, w, 0]])
         rw = math.sqrt(2.0) * w
         assert np.array_equal(reduced_h2(sp).matrix(z, side), [[0, rw], [rw, d]])
+        # the pair metric_value integrates: the projection, middle first, less
+        # its (D / 2) I term
+        m = reduced_h2(sp).matrix(z, side)[::-1, ::-1]
+        traceless = m - 0.5 * np.trace(m) * np.eye(2)
+        pair = _splitter_pair(sp.base).matrix(z, side)
+        assert np.max(np.abs(pair - traceless)) <= 4 * np.spacing(np.max(np.abs(traceless)))
 
     def test_reduced_cd_matrices_from_schedule(self):
         # the reduced system's coupling sqrt(2) W is the design's own, up to

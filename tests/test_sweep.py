@@ -14,10 +14,12 @@ from sta_coupler.coupler import build_h2, simulate
 from sta_coupler.propagation import HamiltonianSpec, _check_coefficients, propagate_adaptive
 from sta_coupler.schedules import ModelParams, adiabatic_transport, check_finite, drive
 from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter
+from sta_coupler import sweep
 from sta_coupler.sweep import (
     AxisSpec,
     SweepSpec,
     TargetNotReached,
+    _splitter_pair,
     metric_value,
     run_sweep,
     threshold_length,
@@ -203,20 +205,35 @@ def _reduced_cd_infidelity(omega0, delta0, total_length):
     return abs(0.5 * bright - 0.5)
 
 
-def mirrored_cell(p, tol):
-    """A raw final_i2 cell written out: guide 1 propagated over [-L, 0] at
-    tol/16 (not below the integrator's 1e-12), then the right half as the
-    left half's mirror, which sends U_L e1 = (a, b) to (|a|^2 - |b|^2, 2ab),
-    with (a, b) divided by its norm."""
-    a, b = propagate_adaptive(build_h2(p), np.array([1.0, 0.0], dtype=complex),
+def mirrored_cell(p, tol, h=None):
+    """An integrated cell written out: guide 1 of h (by default build_h2(p),
+    a raw final_i2 cell) propagated over [-L, 0] at tol/16 (not below the
+    integrator's 1e-12), then the right half as the left half's mirror,
+    which sends U_L e1 = (a, b) to (|a|^2 - |b|^2, 2ab), with (a, b)
+    divided by its norm; returns the final guide-2 intensity."""
+    h = build_h2(p) if h is None else h
+    a, b = propagate_adaptive(h, np.array([1.0, 0.0], dtype=complex),
                               -p.half_length, 0.0, max(tol / 16, 1e-12)).final_state.tolist()
     pa, pb = abs(a) ** 2, abs(b) ** 2
     return 4.0 * pa * pb / (pa + pb) ** 2
 
 
+def pair_h2(p):
+    """The (middle, bright) pair of a raw or direct array on design p,
+    middle guide first, written out: [[D, sqrt(2) W], [sqrt(2) W, 0]] less
+    its (D / 2) I term, so sqrt(2) W sigma_x + (D / 2) sigma_z."""
+    sigma_x, sigma_z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, -1.0]])
+    return HamiltonianSpec((math.sqrt(2.0) * sigma_x, 0.5 * sigma_z), partial(drive, p))
+
+
 def exact_i2(p):
     """I2 of a whole-device run at the tightest tolerance."""
     return float(simulate(p, tol=1e-12).final_intensities[1])
+
+
+def exact_infidelity(sp):
+    """splitting_infidelity of a whole-array run at the tightest tolerance."""
+    return splitting_infidelity(simulate_splitter(sp, tol=1e-12))
 
 
 class TestMetricValue:
@@ -259,33 +276,50 @@ class TestMetricValue:
         value = metric_value("final_i2", False, *design)
         assert value == mirrored_cell(p, 1e-8)
         assert abs(value - exact_i2(p)) <= 1e-8
-        direct = SplitterParams(ModelParams(p.omega0, p.delta0, p.half_length, True), "direct")
-        assert (metric_value("splitting_infidelity", True, *design, splitter_mode="direct")
-                == splitting_infidelity(simulate_splitter(direct, tol=1e-8)))
+        # a splitter cell is the pair's mirrored bright intensity, scored as
+        # |I_bright / 2 - 1/2|, and lies within tol of a tight whole-array run
+        sta = ModelParams(p.omega0, p.delta0, p.half_length, True)
+        for q, mode in ((p, "reduced_cd"), (sta, "direct")):
+            value = metric_value("splitting_infidelity", q.sta, *design, splitter_mode=mode)
+            assert value == abs(0.5 * mirrored_cell(q, 1e-8, pair_h2(q)) - 0.5), mode
+            assert abs(value - exact_infidelity(SplitterParams(q, mode))) <= 1e-8, mode
 
     @pytest.mark.parametrize("sta", [False, True])
     @pytest.mark.parametrize("design", [(3.0, 0.2, 10.0), (1.5, 0.0, 25.0), (5.0, 1.0, 2.0)])
     def test_mirror_identity(self, design, sta):
         # the right half is the left half's mirror: U_L has the form
-        # [[a, -b*], [b, a*]], and sigma_x U_L^T sigma_x U_L is the whole run
+        # [[a, -b*], [b, a*]], and sigma_x U_L^T sigma_x U_L is the whole run;
+        # for the two-guide coupler and for the (middle, bright) pair of a raw
+        # (sta False) or direct (sta True) array
         omega0, delta0, total = design
         p = ModelParams(omega0, delta0, total / 2.0, sta=sta)
-        h, sx = build_h2(p), np.array([[0.0, 1.0], [1.0, 0.0]])
-        u_left = np.column_stack([propagate_adaptive(h, e, -p.half_length, 0.0, 1e-12).final_state
-                                  for e in np.eye(2, dtype=complex)])
-        (a, minus_b_conj), (b, a_conj) = u_left
-        assert abs(minus_b_conj + b.conjugate()) <= 1e-9
-        assert abs(a_conj - a.conjugate()) <= 1e-9
-        whole = propagate_adaptive(h, np.eye(2, dtype=complex)[0], -p.half_length,
-                                   p.half_length, 1e-12).final_state
-        assert np.max(np.abs(sx @ u_left.T @ sx @ u_left[:, 0] - whole)) <= 1e-9
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for h in (build_h2(p), _splitter_pair(p)):
+            u_left = np.column_stack([propagate_adaptive(h, e, -p.half_length, 0.0,
+                                                         1e-12).final_state
+                                      for e in np.eye(2, dtype=complex)])
+            (a, minus_b_conj), (b, a_conj) = u_left
+            assert abs(minus_b_conj + b.conjugate()) <= 1e-9
+            assert abs(a_conj - a.conjugate()) <= 1e-9
+            whole = propagate_adaptive(h, np.eye(2, dtype=complex)[0], -p.half_length,
+                                       p.half_length, 1e-12).final_state
+            assert np.max(np.abs(sx @ u_left.T @ sx @ u_left[:, 0] - whole)) <= 1e-9
 
     @pytest.mark.parametrize("design", MIRROR_DESIGNS)
     def test_raw_cell_within_tol_of_exact(self, design):
+        # raw final_i2, and the raw and direct splitter cells
         omega0, delta0, total = design
-        exact = exact_i2(ModelParams(omega0, delta0, total / 2.0))
-        for tol in (1e-4, 1e-6, 1e-8):
-            assert abs(metric_value("final_i2", False, *design, tol=tol) - exact) <= tol, tol
+        raw = ModelParams(omega0, delta0, total / 2.0)
+        sta = ModelParams(omega0, delta0, total / 2.0, sta=True)
+        cells = [(("final_i2", False, "reduced_cd"), exact_i2(raw)),
+                 (("splitting_infidelity", False, "reduced_cd"),
+                  exact_infidelity(SplitterParams(raw))),
+                 (("splitting_infidelity", True, "direct"),
+                  exact_infidelity(SplitterParams(sta, "direct")))]
+        for (metric, is_sta, mode), exact in cells:
+            for tol in (1e-4, 1e-6, 1e-8):
+                value = metric_value(metric, is_sta, *design, tol=tol, splitter_mode=mode)
+                assert abs(value - exact) <= tol, (metric, mode, tol)
 
     def test_tol_floor(self):
         # below tol 1.6e-11 the left half runs at the integrator's floor 1e-12
@@ -297,9 +331,32 @@ class TestMetricValue:
         assert abs(value - exact_i2(p)) <= 1e-11
 
     def test_raw_overflow_names_left_half(self):
-        with pytest.raises(FloatingPointError,
-                           match=r"^overflow encountered in \w+ on \[-5\.0, 0\.0\]$"):
-            metric_value("final_i2", False, 1.7e308, 1.7e308, 10.0, tol=1e-6)
+        # final_i2 and the raw and direct splitter cells, which run [-L, 0] only
+        for metric, sta, mode, what in [
+            ("final_i2", False, "reduced_cd", r"overflow encountered in \w+"),
+            ("splitting_infidelity", False, "reduced_cd", r"overflow encountered in \w+"),
+            ("splitting_infidelity", True, "direct",
+             r"non-finite coefficients \(\S+, nan\) at z=-5\.0"),
+        ]:
+            with pytest.raises(FloatingPointError, match=rf"^{what} on \[-5\.0, 0\.0\]$"):
+                metric_value(metric, sta, 1.7e308, 1.7e308, 10.0, tol=1e-6, splitter_mode=mode)
+
+    def test_direct_cell_work(self, monkeypatch):
+        # the pair's left half costs fewer RHS calls than the whole array
+        nfev = []
+
+        def counting(*args, **kwargs):
+            traj = propagate_adaptive(*args, **kwargs)
+            nfev.append(traj.stats["nfev"])
+            return traj
+
+        monkeypatch.setattr(sweep, "propagate_adaptive", counting)
+        metric_value("splitting_infidelity", True, 3.0, 0.2, 10.0, tol=1e-8,
+                     splitter_mode="direct")
+        whole = simulate_splitter(SplitterParams(ModelParams(3.0, 0.2, 5.0, sta=True), "direct"),
+                                  tol=1e-8)
+        assert len(nfev) == 1
+        assert nfev[0] < whole.stats["nfev"]
 
     def test_degenerate_zero_coupling(self):
         assert metric_value("final_i2", True, 0.0, 0.1, 10.0) == 0.0
@@ -467,6 +524,8 @@ class TestCallerErrorState:
             lambda: simulate(sta, tol=1e-8),
             lambda: simulate_splitter(SplitterParams(sta, "direct"), tol=1e-8),
             lambda: metric_value("final_i2", False, 3.0, 0.2, 10.0),
+            lambda: metric_value("splitting_infidelity", True, 3.0, 0.2, 10.0,
+                                 splitter_mode="direct"),
             lambda: run_sweep(small_spec(sta=False)),
             lambda: run_sweep(small_spec()),
             lambda: threshold_length(5.0, 1.0, sta=False, target=0.93),
@@ -516,7 +575,9 @@ class TestRunSweep:
             ({}, "adiabatic-closed-form"),
             ({"metric": "splitting_infidelity"}, "adiabatic-closed-form"),
             ({"sta": False}, "adaptive-dop853-mirror"),
-            ({"metric": "splitting_infidelity", "splitter_mode": "direct"}, "adaptive-dop853"),
+            ({"metric": "splitting_infidelity", "splitter_mode": "direct"},
+             "adaptive-dop853-mirror"),
+            ({"metric": "splitting_infidelity", "sta": False}, "adaptive-dop853-mirror"),
         ]:
             assert run_sweep(small_spec(**kw)).backend == backend, kw
 
@@ -579,7 +640,6 @@ class TestThreshold:
                              length_range=(0.0, float("inf")))
 
     def test_scan_stops_at_first_crossing(self, monkeypatch):
-        import sta_coupler.sweep as sweep
         lengths = []
 
         def counting(metric, sta, omega0, delta0, total_length, **kw):
