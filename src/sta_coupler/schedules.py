@@ -157,9 +157,14 @@ def sta_schedule(omega0: float, delta_left: float, half_length: float,
     return omega, delta, r, math.hypot(omega, r * omega), delta - r_dot / (2.0 * (1.0 + r * r))
 
 
-def _rotate(angle: float, a: complex, b: complex) -> tuple[complex, complex]:
-    c, s = math.cos(angle), math.sin(angle)
-    return c * a - s * b, s * a + c * b
+def _cos_sin(y: float, x: float) -> tuple[float, float]:
+    """cos and sin of atan2(y, x), as Python floats: x and y over their
+    hypot, or where that is zero, subnormal or overflows, of atan2 itself."""
+    h = math.hypot(x, y)
+    if not 1e-300 < h < 1e300:
+        angle = math.atan2(y, x)
+        return math.cos(angle), math.sin(angle)
+    return float(x) / h, float(y) / h  # numpy's narrower floats would stay narrow
 
 
 def adiabatic_transport(omega0: float, delta_left: float,
@@ -172,8 +177,15 @@ def adiabatic_transport(omega0: float, delta_left: float,
     and the phase rotation to the effective schedules vanishes at z = 0 and
     only rephases the guides at z = +-L.  So the run is: project the input
     onto the eigenbasis at -L, apply the dynamic phase -+Phi of the left
-    half, rotate by the eigenbasis jump at the sign flip (theta_mid to
-    pi - theta_mid), apply -+Phi again and return to the guides at +L.
+    half, rotate by the eigenbasis jump at the sign flip (theta_m to
+    pi - theta_m), apply -+Phi again and return to the guides at +L.  With
+    theta_e = atan2(omega0 sech 2 pi, delta) the edge angle, that product is
+
+        I1 = (sin theta_e sin theta_m cos 2 Phi + cos theta_e cos theta_m)**2
+        I2 = (cos theta_e sin theta_m cos 2 Phi - sin theta_e cos theta_m)**2
+             + (sin theta_m sin 2 Phi)**2
+
+    in real arithmetic, a sum of squares each, so neither is negative.
     Phi = integral_0^L sqrt(omega**2 + delta**2) dz is elementary; with
     s = sinh(2 pi), c = hypot(omega0, delta), alpha = omega0 / c and
     beta = |delta| / c it is
@@ -195,14 +207,12 @@ def adiabatic_transport(omega0: float, delta_left: float,
     phase = b * (half_length * x) + a * (half_length * y)
     if not phase <= 1e-4 / 2.0 ** -53:
         raise FloatingPointError(f"dynamic phase overflows its bound 9.0e11: Phi={phase}")
-    theta_edge = math.atan2(omega0 / _COSH_TWO_PI, delta_left)
-    theta_mid = math.atan2(omega0, delta_left)
-    rot = complex(math.cos(phase), -math.sin(phase))  # exp(-i Phi) on the +E state
-
-    plus, minus = _rotate(-0.5 * theta_edge, 1.0, 0.0)
-    plus, minus = _rotate(theta_mid - 0.5 * math.pi, plus * rot, minus * rot.conjugate())
-    c1, c2 = _rotate(0.5 * (math.pi - theta_edge), plus * rot, minus * rot.conjugate())
-    return abs(c1) ** 2, abs(c2) ** 2
+    cos_e, sin_e = _cos_sin(omega0 / _COSH_TWO_PI, delta_left)
+    cos_m, sin_m = _cos_sin(omega0, delta_left)
+    cos_2phi, sin_2phi = math.cos(2.0 * phase), math.sin(2.0 * phase)
+    i1 = (sin_e * sin_m * cos_2phi + cos_e * cos_m) ** 2
+    i2 = (cos_e * sin_m * cos_2phi - sin_e * cos_m) ** 2 + (sin_m * sin_2phi) ** 2
+    return i1, i2
 
 
 def _check_position(p: ModelParams, z: float) -> None:

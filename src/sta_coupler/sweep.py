@@ -139,6 +139,53 @@ def _mirrored_i2(h: HamiltonianSpec, half_length: float, tol: float) -> float:
     return 4.0 * pa * pb / (pa + pb) ** 2
 
 
+# The closed-form guard evaluates sta_schedule at -L and 0- on the rates
+# (omega0, delta0) a cell works on, then checks its last two fields.  For
+# floats in the box omega0, L in [1e-50, 1e50], delta0 in {0} U [1e-50, 1e50]
+# it cannot raise, so _cell skips it there.  With delta0 = 0 the schedules are
+# the raw omega0 sech(k z) <= omega0 and -+0.  Otherwise k = 2 pi / L <= 6.3e50;
+# at z = -L (sech 2 pi = 3.7e-3, |tanh| < 1) and at 0- (sech 1, tanh 0),
+# omega is in [3.7e-53, 1e50] and delta = delta0, so D = omega^2 + delta^2 is
+# in [1e-100, 2e100], a normal float.  |delta / D| <= 1 / delta0 <= 1e50 gives
+# |r| <= |rate| <= (k / 2) 1e50 <= 3.2e100 and
+# |r_dot| <= k |rate| (sech^2 + 2 tanh^2) <= 6.1e151, so omega_eff =
+# omega sqrt(1 + r^2) < 1e151 and |delta_eff| <= delta0 + |r_dot| / 2 < 1e152:
+# both are finite, and so is their sum.  Other types (ints, numpy's narrower
+# floats) take the guard.
+_BOX_LO, _BOX_HI = 1e-50, 1e50
+
+
+def _half_length(total_length: float) -> float:
+    half = total_length / 2.0
+    if half == 0.0 < total_length:  # the smallest subnormal length
+        raise ValueError(f"total_length must be > 0 when halved, got {total_length}")
+    return half
+
+
+def _cell(metric: str, sta: bool, tol: float, splitter_mode: str,
+          omega0: float, delta0: float, half: float) -> float:
+    """metric_value on inputs its callers have checked, with half = L."""
+    if omega0 == 0.0 or half == 0.0:
+        # input stays put: I2 = 0 for guide-1 input, I1 = I3 = 0 for the splitter
+        return 0.0 if metric == "final_i2" else 0.5
+    if _closed_form_applies(metric, sta, splitter_mode):
+        if metric == "splitting_infidelity":  # SplitterParams.design, as floats
+            omega0, delta0 = reduced_rates(omega0, delta0)
+        if not (isinstance(omega0, float) and isinstance(delta0, float)
+                and isinstance(half, float) and _BOX_LO <= omega0 <= _BOX_HI
+                and _BOX_LO <= half <= _BOX_HI
+                and (delta0 == 0.0 or _BOX_LO <= delta0 <= _BOX_HI)):
+            # fail as the integrator would; +L and 0+ mirror -L and 0-, D negated
+            for z, side in ((-half, 0), (0.0, -1)):
+                _check_coefficients(sta_schedule(omega0, delta0, half, z, side)[3:], z)
+        transfer = adiabatic_transport(omega0, delta0, half)[1]
+    else:
+        p = ModelParams(omega0=omega0, delta0=delta0, half_length=half, sta=sta)
+        h = build_h2(p) if metric == "final_i2" else _splitter_pair(p)
+        transfer = _mirrored_i2(h, half, tol)
+    return transfer if metric == "final_i2" else abs(0.5 * transfer - 0.5)
+
+
 def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
                  total_length: float, tol: float = 1e-8,
                  splitter_mode: str = "reduced_cd") -> float:
@@ -148,40 +195,30 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     reduce to identity propagation of the input state.
 
     STA final_i2 and STA reduced_cd splitting_infidelity are evaluated in
-    closed form (:func:`adiabatic_transport`), after the integrator's
-    coefficients are checked finite at -L and 0-.  Every other cell mirrors
-    a left-half run at tol / 16 (see _mirrored_i2) of the two-guide
+    closed form (:func:`adiabatic_transport`).  Outside a box of ordinary
+    designs, where it provably passes (see _BOX_LO), the integrator's
+    coefficients are first checked finite at -L and 0-.  Every other cell
+    mirrors a left-half run at tol / 16 (see _mirrored_i2) of the two-guide
     generator or of the array's (middle, bright) pair (see _splitter_pair).
+    The arguments are checked here; :func:`run_sweep` and
+    :func:`threshold_length` check theirs once and score cells alike.
     """
     _check_metric(metric, splitter_mode)
     _check_tol(tol)
     check_finite("total_length", total_length, 0.0)  # as given, not as its half
-    half = total_length / 2.0
-    if half == 0.0 < total_length:  # the smallest subnormal length
-        raise ValueError(f"total_length must be > 0 when halved, got {total_length}")
+    half = _half_length(total_length)
     check_finite("omega0", omega0, 0.0)  # as ModelParams checks them
     check_finite("delta0", delta0, 0.0)
-    if omega0 == 0.0 or half == 0.0:
-        # input stays put: I2 = 0 for guide-1 input, I1 = I3 = 0 for the splitter
-        return 0.0 if metric == "final_i2" else 0.5
-    if _closed_form_applies(metric, sta, splitter_mode):
-        if metric == "splitting_infidelity":  # SplitterParams.design, as floats
-            omega0, delta0 = reduced_rates(omega0, delta0)
-        # fail as the integrator would; +L and 0+ mirror -L and 0-, D negated
-        for z, side in ((-half, 0), (0.0, -1)):
-            _check_coefficients(sta_schedule(omega0, delta0, half, z, side)[3:], z)
-        transfer = adiabatic_transport(omega0, delta0, half)[1]
-    else:
-        p = ModelParams(omega0=omega0, delta0=delta0, half_length=half, sta=sta)
-        h = build_h2(p) if metric == "final_i2" else _splitter_pair(p)
-        transfer = _mirrored_i2(h, half, tol)
-    return transfer if metric == "final_i2" else abs(0.5 * transfer - 0.5)
+    return _cell(metric, sta, tol, splitter_mode, omega0, delta0, half)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     """Evaluate the metric over the rectangular grid, one cell after another
     and row-major over the y axis.  Its backend, adiabatic-closed-form or
     adaptive-dop853-mirror, names how the cells ran (see :func:`metric_value`).
+    SweepSpec and AxisSpec have checked every input, so each total length is
+    halved once and the cells skip metric_value's checks; the grid is still
+    the metric_value loop's, bit for bit.
 
     workers is deprecated and ignored: the cells are GIL-bound Python, so a
     thread pool never sped them up, and they always run serially.
@@ -193,11 +230,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
                       "deprecated and ignored", DeprecationWarning, stacklevel=2)
     xs, ys = spec.axis_x.values, spec.axis_y.values
     (fixed_name, fixed_value), = spec.fixed.items()
-    # (omega0, delta0, total_length) from a cell's (x, y, fixed) values
-    cell = operator.itemgetter(*map((spec.axis_x.name, spec.axis_y.name, fixed_name).index,
-                                    PARAMETERS))
-    rows = [[metric_value(spec.metric, spec.sta, *cell((x, y, fixed_value)), spec.tol,
-                          spec.splitter_mode) for x in xs.tolist()] for y in ys.tolist()]
+    names = (spec.axis_x.name, spec.axis_y.name, fixed_name)
+    values = dict(zip(names, (xs.tolist(), ys.tolist(), [fixed_value])))
+    # a length that fails to halve is preceded, in cell order, only by cells
+    # of length 0, which raise nothing, so halving every length first fails
+    # as the cell loop would
+    values["total_length"] = [_half_length(length) for length in values["total_length"]]
+    (fixed,) = values[fixed_name]
+    # (omega0, delta0, L) from a cell's (x, y, fixed) values
+    args = operator.itemgetter(*map(names.index, PARAMETERS))
+    cell = partial(_cell, spec.metric, spec.sta, spec.tol, spec.splitter_mode)
+    rows = [[cell(*args((x, y, fixed))) for x in values[names[0]]] for y in values[names[1]]]
     closed_form = _closed_form_applies(spec.metric, spec.sta, spec.splitter_mode)
     backend = "adiabatic-closed-form" if closed_form else "adaptive-dop853-mirror"
     return SweepResult(grid=np.array(rows), x_values=xs, y_values=ys, backend=backend)
@@ -215,9 +258,10 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     """Smallest total device length reaching the target transfer efficiency.
 
     A coarse scan stops at the first crossing (final_i2 need not be
-    monotone in length); bisection then refines it to 0.01 mm.  Each
-    length is scored by :func:`metric_value`, so STA scans integrate nothing
-    and raw scans integrate half the device.
+    monotone in length); bisection then refines it to 0.01 mm.  The inputs
+    are checked once, and each length is scored as :func:`metric_value`
+    scores it, so STA scans integrate nothing and raw scans integrate half
+    the device.
     """
     check_finite("target", target)
     if not 0.0 < target < 1.0:
@@ -228,9 +272,13 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
         check_finite(f"search range {end}", value, 0.0)
     if not lo_range < hi_range:
         raise ValueError(f"invalid search range {length_range}")
+    # checked once, as metric_value checks the first length scored, lo_range
+    _half_length(lo_range)
+    check_finite("omega0", omega0, 0.0)
+    check_finite("delta0", delta0, 0.0)
 
     def metric(length: float) -> float:
-        return metric_value("final_i2", sta, omega0, delta0, length, tol=tol)
+        return _cell("final_i2", sta, tol, "reduced_cd", omega0, delta0, _half_length(length))
 
     lengths = np.linspace(lo_range, hi_range, _COARSE_POINTS)
     missed = []
@@ -247,6 +295,7 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     hi = float(lengths[hit])
     while hi - lo > 0.01:
         mid = 0.5 * (lo + hi)
+        check_finite("total_length", mid, 0.0)  # two huge lengths overflow their sum
         v = metric(mid)
         if v >= target:
             hi, achieved = mid, v

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import adiabatic_oracle as oracle
-from test_sweep import HALF_LENGTHS, RATES, _bits
+from test_sweep import HALF_LENGTHS, LOG_DESIGNS, RATES, _bits
 from sta_coupler.schedules import (
     ModelParams,
     adiabatic_transport,
@@ -267,6 +267,32 @@ class TestAdiabaticTransport:
     def test_conserves_power(self):
         for omega0, delta_left, L in _designs(100, seed=13):
             assert abs(sum(adiabatic_transport(omega0, delta_left, L)) - 1.0) <= 1e-14
+        # and, wherever Phi is in bound, each intensity lies in [0, 1] over the
+        # log-scale lattice with signed mismatches and over the log-uniform set
+        deltas = [sign * rate for rate in [0.0, *RATES] for sign in (1.0, -1.0)]
+        checked = 0
+        for design in [*itertools.product(RATES, deltas, HALF_LENGTHS), *LOG_DESIGNS]:
+            try:
+                i1, i2 = adiabatic_transport(*design)
+            except FloatingPointError:  # Phi beyond its bound
+                continue
+            assert 0.0 <= i1 <= 1.0 and 0.0 <= i2 <= 1.0, design
+            assert abs(i1 + i2 - 1.0) <= 1e-14, design
+            checked += 1
+        assert checked > 1000
+
+    def test_ceiling(self):
+        # I2 is A + B c + C c**2 in c = cos 2 Phi, with A, B and C set by the
+        # edge and mid angles alone; its maximum over c in [-1, 1] is the
+        # ceiling acceptance 1 pins at (5, 1), and no length passes it
+        theta_e, theta_m = math.atan2(5.0 / math.cosh(2.0 * math.pi), 1.0), math.atan2(5.0, 1.0)
+        ce, se, cm, sm = math.cos(theta_e), math.sin(theta_e), math.cos(theta_m), math.sin(theta_m)
+        a, b, c = (se * cm) ** 2 + sm ** 2, -2.0 * ce * sm * se * cm, (ce * sm) ** 2 - sm ** 2
+        top = max(a + b * x + c * x * x for x in (-1.0, 1.0, min(1.0, max(-1.0, -b / (2.0 * c)))))
+        assert top == pytest.approx(0.968397, abs=5e-7)
+        transfers = [adiabatic_transport(5.0, 1.0, L)[1] for L in np.linspace(5e-4, 1.0, 2000)]
+        assert max(transfers) <= top + 1e-15
+        assert max(transfers) >= top - 1e-6  # the lengths reach it
 
     def test_phase_overflow_is_numerical_failure(self):
         # Phi is about L * |delta| = 1e310; math.cos(inf) would raise

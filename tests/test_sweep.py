@@ -12,8 +12,9 @@ import adiabatic_oracle as oracle
 from test_splitter import splitting_infidelity
 from sta_coupler.coupler import build_h2, simulate
 from sta_coupler.propagation import HamiltonianSpec, _check_coefficients, propagate_adaptive
-from sta_coupler.schedules import ModelParams, adiabatic_transport, check_finite, drive
-from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter
+from sta_coupler.schedules import (ModelParams, adiabatic_transport, check_finite, drive,
+                                   sta_schedule)
+from sta_coupler.splitter import SplitterParams, build_h3, reduced_rates, simulate_splitter
 from sta_coupler import sweep
 from sta_coupler.sweep import (
     AxisSpec,
@@ -512,6 +513,70 @@ class TestClosedFormGuard:
         assert passed > 100
 
 
+def _in_box(omega0, delta0, L):
+    lo, hi = sweep._BOX_LO, sweep._BOX_HI
+    return lo <= omega0 <= hi and lo <= L <= hi and (delta0 == 0.0 or lo <= delta0 <= hi)
+
+
+class TestGuardBox:
+    """A closed-form cell skips the guard only inside a box of designs where
+    the guard cannot fail, and a sweep checks its inputs once."""
+
+    def test_box_is_sound(self):
+        # the full two-point guard passes on every design inside the box, as
+        # the coupler's rates and as the reduced_cd array's
+        lo, hi = sweep._BOX_LO, sweep._BOX_HI
+        inside = (10.0 ** np.random.default_rng(28).uniform(-50.0, 50.0, size=(2000, 3))).tolist()
+        designs = [*itertools.product(RATES, [0.0, *RATES], HALF_LENGTHS), *LOG_DESIGNS,
+                   *itertools.product([lo, hi], [0.0, lo, hi], [lo, hi]), *inside]
+        checked = 0
+        for omega0, delta0, L in designs:
+            try:
+                reduced = [reduced_rates(omega0, delta0)]
+            except FloatingPointError:  # sqrt(2) * omega0 overflows
+                reduced = []
+            for rates in [(omega0, delta0), *reduced]:
+                if not _in_box(*rates, L):
+                    continue
+                for z, side in ((-L, 0), (0.0, -1)):
+                    _check_coefficients(sta_schedule(*rates, L, z, side)[3:], z)
+                checked += 1
+        assert checked > 4000
+
+    @pytest.mark.parametrize("metric", ["final_i2", "splitting_infidelity"])
+    def test_narrow_floats_take_the_guard(self, metric):
+        # the proof holds for float64 arithmetic only: these float32 designs
+        # lie in the box, but their schedules overflow in float32
+        with np.errstate(all="ignore"):
+            for design in [(np.float32(1e-30), np.float32(1e-30), 10.0),
+                           (1.0, 0.1, np.float32(1e-30))]:
+                with pytest.raises(FloatingPointError, match="non-finite coefficients"):
+                    metric_value(metric, True, *design)
+
+    @pytest.mark.parametrize("metric", ["final_i2", "splitting_infidelity"])
+    def test_sweep_checks_once(self, monkeypatch, metric):
+        # one 12 x 2 tile of closed-form cells inside the box, omega0 = 0 column
+        # included: only the spec's checks run, and no guard
+        calls = dict.fromkeys(["check_finite", "_check_metric", "_check_tol", "sta_schedule",
+                               "_check_coefficients"], 0)
+
+        def counted(name, function):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return count
+
+        for name in calls:
+            monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
+        spec = SweepSpec(AxisSpec("omega0", 0.0, 5.5, 12), AxisSpec("delta0", 0.2, 1.0, 2),
+                         {"total_length": 10.0}, metric=metric, tol=1e-6)
+        grid = run_sweep(spec).grid
+        assert calls == {"check_finite": 5, "_check_metric": 1, "_check_tol": 1,
+                         "sta_schedule": 0, "_check_coefficients": 0}
+        monkeypatch.undo()
+        assert grid.tobytes() == cell_loop(spec).tobytes()
+
+
 class TestCallerErrorState:
     def test_results_ignore_numpy_error_state(self):
         # the integrator's smallest step is subnormal at z = 0, which must not
@@ -640,13 +705,15 @@ class TestThreshold:
                              length_range=(0.0, float("inf")))
 
     def test_scan_stops_at_first_crossing(self, monkeypatch):
-        lengths = []
+        # threshold_length scores each length with the cell kernel, whose
+        # last argument is the half length
+        lengths, cell = [], sweep._cell
 
-        def counting(metric, sta, omega0, delta0, total_length, **kw):
-            lengths.append(total_length)
-            return metric_value(metric, sta, omega0, delta0, total_length, **kw)
+        def counting(*args):
+            lengths.append(2.0 * args[-1])
+            return cell(*args)
 
-        monkeypatch.setattr(sweep, "metric_value", counting)
+        monkeypatch.setattr(sweep, "_cell", counting)
         res = threshold_length(5.0, 1.0, sta=True, target=0.9, tol=1e-8)
         step = 2.0 / 99
         # the second coarse point (0.0202 mm) crosses 0.9; two bisection
