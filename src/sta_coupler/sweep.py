@@ -11,8 +11,8 @@ import numpy as np
 
 from .coupler import build_h2
 from .propagation import HamiltonianSpec, _check_coefficients, _check_tol, propagate_adaptive
-from .schedules import ModelParams, adiabatic_transport, check_finite, drive, sta_schedule
-from .splitter import MODES, reduced_rates
+from .schedules import ModelParams, adiabatic_transport, check_finite, sta_schedule
+from .splitter import MODES, SplitterParams, build_pair, reduced_rates
 
 __all__ = [
     "AxisSpec",
@@ -28,7 +28,6 @@ __all__ = [
 PARAMETERS = ("omega0", "delta0", "total_length")
 METRICS = ("final_i2", "splitting_infidelity")
 _COARSE_POINTS = 100  # threshold_length's scan grid over the search range
-_PAIR_TERMS = (np.sqrt([[0.0, 2.0], [2.0, 0.0]]), np.diag([0.5, -0.5]))  # see _splitter_pair
 
 
 class TargetNotReached(RuntimeError):
@@ -114,12 +113,6 @@ def _closed_form_applies(metric: str, sta: bool, splitter_mode: str) -> bool:
     return sta and (metric == "final_i2" or splitter_mode == "reduced_cd")
 
 
-def _splitter_pair(p: ModelParams) -> HamiltonianSpec:
-    """sqrt(2) W sigma_x + (D / 2) sigma_z on drive(p): a raw or direct
-    array's (middle, bright) pair, middle first, less its (D / 2) I term."""
-    return HamiltonianSpec(_PAIR_TERMS, partial(drive, p))
-
-
 def _mirrored_i2(h: HamiltonianSpec, half_length: float, tol: float) -> float:
     """I2 of h over [-L, L] for guide-1 input, from one run over [-L, 0].
 
@@ -181,7 +174,7 @@ def _cell(metric: str, sta: bool, tol: float, splitter_mode: str,
         transfer = adiabatic_transport(omega0, delta0, half)[1]
     else:
         p = ModelParams(omega0=omega0, delta0=delta0, half_length=half, sta=sta)
-        h = build_h2(p) if metric == "final_i2" else _splitter_pair(p)
+        h = build_h2(p) if metric == "final_i2" else build_pair(SplitterParams(p, splitter_mode))
         transfer = _mirrored_i2(h, half, tol)
     return transfer if metric == "final_i2" else abs(0.5 * transfer - 0.5)
 
@@ -199,7 +192,7 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     designs, where it provably passes (see _BOX_LO), the integrator's
     coefficients are first checked finite at -L and 0-.  Every other cell
     mirrors a left-half run at tol / 16 (see _mirrored_i2) of the two-guide
-    generator or of the array's (middle, bright) pair (see _splitter_pair).
+    generator or of the array's (middle, bright) pair (see splitter.build_pair).
     The arguments are checked here; :func:`run_sweep` and
     :func:`threshold_length` check theirs once and score cells alike.
     """
@@ -258,10 +251,10 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     """Smallest total device length reaching the target transfer efficiency.
 
     A coarse scan stops at the first crossing (final_i2 need not be
-    monotone in length); bisection then refines it to 0.01 mm.  The inputs
-    are checked once, and each length is scored as :func:`metric_value`
-    scores it, so STA scans integrate nothing and raw scans integrate half
-    the device.
+    monotone in length); bisection then refines it to 0.01 mm, or to
+    adjacent floats where those lie farther apart.  The inputs are checked
+    once, and each length is scored as :func:`metric_value` scores it, so
+    STA scans integrate nothing and raw scans integrate half the device.
     """
     check_finite("target", target)
     if not 0.0 < target < 1.0:
@@ -296,6 +289,8 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     while hi - lo > 0.01:
         mid = 0.5 * (lo + hi)
         check_finite("total_length", mid, 0.0)  # two huge lengths overflow their sum
+        if not lo < mid < hi:  # no float lies between lo and hi
+            break
         v = metric(mid)
         if v >= target:
             hi, achieved = mid, v

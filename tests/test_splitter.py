@@ -6,8 +6,7 @@ import pytest
 from sta_coupler import splitter
 from sta_coupler.propagation import HamiltonianSpec, Trajectory, propagate_adaptive
 from sta_coupler.schedules import ModelParams, drive, effective_schedule
-from sta_coupler.splitter import SplitterParams, build_h3, simulate_splitter
-from sta_coupler.sweep import _splitter_pair
+from sta_coupler.splitter import SplitterParams, build_h3, build_pair, simulate_splitter
 
 BASE = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=True)
 BASE_RAW = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=False)
@@ -20,6 +19,13 @@ def splitting_infidelity(traj: Trajectory) -> float:
     of the (middle, bright) pair without running the array."""
     i1, _, i3 = (float(x) for x in traj.final_intensities)
     return max(abs(i1 - 0.5), abs(i3 - 0.5))
+
+
+def array_run(sp: SplitterParams, tol: float) -> Trajectory:
+    """Middle-guide input through the whole 3x3 array, build_h3: the
+    reference that simulate_splitter's (middle, bright) pair run is held to."""
+    L = sp.base.half_length
+    return propagate_adaptive(build_h3(sp), np.array([0.0, 1.0, 0.0], dtype=complex), -L, L, tol)
 
 
 # rows: the bright state (guide 1 + guide 3) / sqrt(2) and the middle guide;
@@ -64,11 +70,11 @@ class TestConstruction:
                               [[0, w, 0], [w, d, w], [0, w, 0]])
         rw = math.sqrt(2.0) * w
         assert np.array_equal(reduced_h2(sp).matrix(z, side), [[0, rw], [rw, d]])
-        # the pair metric_value integrates: the projection, middle first, less
-        # its (D / 2) I term
+        # the pair simulate_splitter and metric_value integrate: the
+        # projection, middle first, less its (D / 2) I term
         m = reduced_h2(sp).matrix(z, side)[::-1, ::-1]
         traceless = m - 0.5 * np.trace(m) * np.eye(2)
-        pair = _splitter_pair(sp.base).matrix(z, side)
+        pair = build_pair(sp).matrix(z, side)
         assert np.max(np.abs(pair - traceless)) <= 4 * np.spacing(np.max(np.abs(traceless)))
 
     def test_reduced_cd_matrices_from_schedule(self):
@@ -131,20 +137,22 @@ class TestConstruction:
 class TestSimulateSplitter:
     def test_dark_state_never_populated(self):
         # middle-guide input has no overlap with the dark state and the
-        # generator cannot create one: the dark amplitude is exactly zero
-        r = simulate_splitter(SplitterParams(BASE), tol=1e-10)
-        c = r.states
-        assert np.max(np.abs((c[:, 0] - c[:, 2]) / math.sqrt(2.0))) == 0.0
+        # generator cannot create one: the dark amplitude is exactly zero,
+        # in the whole array's run and so in the pair's
+        for run in (simulate_splitter, array_run):
+            c = run(SplitterParams(BASE), tol=1e-10).states
+            assert np.max(np.abs((c[:, 0] - c[:, 2]) / math.sqrt(2.0))) == 0.0, run
 
     def test_outer_guides_identical(self):
         # the outer guides' amplitudes are equal bit for bit, so are their
-        # intensities: in both modes, STA and raw
+        # intensities: in both modes, STA and raw, in the array's run too
         for base in (BASE, ROBUST):
             for sta in (True, False):
                 p = ModelParams(base.omega0, base.delta0, base.half_length, sta=sta)
                 for mode in ("direct", "reduced_cd"):
-                    i = simulate_splitter(SplitterParams(p, mode), tol=1e-10).intensities
-                    assert i[:, 0].tobytes() == i[:, 2].tobytes(), (p, mode)
+                    for run in (simulate_splitter, array_run):
+                        i = run(SplitterParams(p, mode), tol=1e-10).intensities
+                        assert i[:, 0].tobytes() == i[:, 2].tobytes(), (p, mode, run)
 
     def test_reduction_residual_small(self):
         # the 3-level run must agree with a 2-level propagation of the reduction
@@ -153,7 +161,7 @@ class TestSimulateSplitter:
             raw = ModelParams(base.omega0, base.delta0, L, sta=False)
             for sp in (SplitterParams(raw), SplitterParams(base, "direct"),
                        SplitterParams(base, "reduced_cd")):
-                c = simulate_splitter(sp, tol=1e-10).final_state
+                c = array_run(sp, tol=1e-10).final_state
                 ref = propagate_adaptive(reduced_h2(sp), np.array([0.0, 1.0], dtype=complex),
                                          -L, L, 1e-10).final_state
                 bright, middle = (c[0] + c[2]) / math.sqrt(2.0), c[1]
@@ -161,16 +169,29 @@ class TestSimulateSplitter:
 
     @pytest.mark.parametrize("sp", [SplitterParams(BASE_RAW), SplitterParams(BASE, "direct"),
                                     SplitterParams(BASE)], ids=["raw", "direct", "reduced_cd"])
-    def test_integrates_once(self, sp, monkeypatch):
-        calls = []
+    def test_matches_array_run(self, sp):
+        # the pair's lift ends where the whole array's run ends: the phase
+        # the pair drops is 1 at +L
+        for base in (sp.base, ROBUST):
+            q = SplitterParams(ModelParams(base.omega0, base.delta0, base.half_length,
+                                           sta=sp.base.sta), sp.mode)
+            pair, array = simulate_splitter(q, tol=1e-10), array_run(q, tol=1e-10)
+            assert np.max(np.abs(pair.final_intensities - array.final_intensities)) <= 1e-8, q
+            assert np.max(np.abs(pair.final_state - array.final_state)) <= 1e-8, q
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return propagate_adaptive(*args, **kwargs)
+    @pytest.mark.parametrize("sp", [SplitterParams(BASE_RAW), SplitterParams(BASE, "direct"),
+                                    SplitterParams(BASE)], ids=["raw", "direct", "reduced_cd"])
+    def test_integrates_once(self, sp, monkeypatch):
+        # one run, of the (middle, bright) pair, never of the 3x3 array
+        dims = []
+
+        def counting(h, *args, **kwargs):
+            dims.append(h.dim)
+            return propagate_adaptive(h, *args, **kwargs)
 
         monkeypatch.setattr(splitter, "propagate_adaptive", counting)
         simulate_splitter(sp, tol=1e-6)
-        assert len(calls) == 1
+        assert dims == [2]
 
     def test_reference_reduced_cd_split(self):
         # frozen regression values

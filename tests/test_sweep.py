@@ -9,18 +9,18 @@ import numpy as np
 import pytest
 
 import adiabatic_oracle as oracle
-from test_splitter import splitting_infidelity
+from test_splitter import array_run, splitting_infidelity
 from sta_coupler.coupler import build_h2, simulate
 from sta_coupler.propagation import HamiltonianSpec, _check_coefficients, propagate_adaptive
 from sta_coupler.schedules import (ModelParams, adiabatic_transport, check_finite, drive,
                                    sta_schedule)
-from sta_coupler.splitter import SplitterParams, build_h3, reduced_rates, simulate_splitter
+from sta_coupler.splitter import (SplitterParams, build_h3, build_pair, reduced_rates,
+                                  simulate_splitter)
 from sta_coupler import sweep
 from sta_coupler.sweep import (
     AxisSpec,
     SweepSpec,
     TargetNotReached,
-    _splitter_pair,
     metric_value,
     run_sweep,
     threshold_length,
@@ -233,8 +233,8 @@ def exact_i2(p):
 
 
 def exact_infidelity(sp):
-    """splitting_infidelity of a whole-array run at the tightest tolerance."""
-    return splitting_infidelity(simulate_splitter(sp, tol=1e-12))
+    """splitting_infidelity of a whole 3x3 array run at the tightest tolerance."""
+    return splitting_infidelity(array_run(sp, tol=1e-12))
 
 
 class TestMetricValue:
@@ -295,7 +295,7 @@ class TestMetricValue:
         omega0, delta0, total = design
         p = ModelParams(omega0, delta0, total / 2.0, sta=sta)
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        for h in (build_h2(p), _splitter_pair(p)):
+        for h in (build_h2(p), build_pair(SplitterParams(p, "direct"))):
             u_left = np.column_stack([propagate_adaptive(h, e, -p.half_length, 0.0,
                                                          1e-12).final_state
                                       for e in np.eye(2, dtype=complex)])
@@ -703,6 +703,27 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold_length(1.0, 0.1, True, target=0.9,
                              length_range=(0.0, float("inf")))
+
+    @pytest.mark.parametrize("omega0, length_range", [(1e-13, (0.0, 1e20)),
+                                                      (1e-300, (0.0, 1.7e308))])
+    def test_bisection_ends_between_adjacent_floats(self, omega0, length_range, monkeypatch):
+        # past about 7e13 mm adjacent lengths lie more than 0.01 mm apart, so
+        # the bisection stops once the midpoint rounds to an end; the cap
+        # fails a search that would not end rather than hang
+        calls, cell = [], sweep._cell
+
+        def counting(*args):
+            calls.append(1)
+            if len(calls) > 200:
+                raise RuntimeError("threshold bisection does not end")
+            return cell(*args)
+
+        monkeypatch.setattr(sweep, "_cell", counting)
+        res = threshold_length(omega0, 0.0, True, 0.99, length_range=length_range)
+        assert res.achieved_metric >= 0.99
+        assert length_range[0] < res.total_length <= length_range[1]
+        assert res.achieved_metric == metric_value("final_i2", True, omega0, 0.0,
+                                                   res.total_length)
 
     def test_scan_stops_at_first_crossing(self, monkeypatch):
         # threshold_length scores each length with the cell kernel, whose
