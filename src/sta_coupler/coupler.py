@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 
 from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
-from .schedules import ModelParams, drive, schedule_grid
+from .schedules import ModelParams, drive, schedule_grid, segment_rates
 
 __all__ = ["build_h2", "simulate", "adiabatic_projection"]
 
@@ -16,10 +16,21 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
+def drive_spec(terms: tuple[np.ndarray, np.ndarray], p: ModelParams) -> HamiltonianSpec:
+    """The generator drive(p)[0] * terms[0] + drive(p)[1] * terms[1], of an
+    off-diagonal and a diagonal 2x2 term, with drive's rates per segment
+    (see schedules.segment_rates), which propagation._rhs fuses into a
+    right-hand side that checks nothing on a design in schedules.in_box."""
+    h = HamiltonianSpec(terms, partial(drive, p))
+    object.__setattr__(h, "_rates", partial(segment_rates, p))
+    return h
+
+
 def build_h2(p: ModelParams) -> HamiltonianSpec:
     """2x2 generator omega*sigma_x + delta*sigma_z from the raw or
-    STA-effective schedules (see :func:`drive`)."""
-    return HamiltonianSpec((_SIGMA_X, _SIGMA_Z), partial(drive, p))
+    STA-effective schedules (see :func:`drive`); the integrator checks them
+    on every call unless the design lies in the box (see drive_spec)."""
+    return drive_spec((_SIGMA_X, _SIGMA_Z), p)
 
 
 def simulate(p: ModelParams, input_guide: int = 1, tol: float = 1e-10) -> Trajectory:

@@ -133,11 +133,14 @@ def _segments(z_from: float, z_to: float) -> list[tuple[float, float]]:
 def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, list], list]:
     """The right-hand side -i H(z) y of i dy/dz = H(z) y on the segment [a, b].
 
-    Each call takes y as a list of complex numbers, checks the coefficients
-    as matrix() does, then returns the list of sums of
-    f_k(z) * (-i T_k[r, c]) * y[c] over the terms' nonzero entries, in
-    Python complex arithmetic, which is cheaper than numpy's on 2 or 3
-    components.
+    Each call takes y as a list of complex numbers and returns the list of
+    sums of f_k(z) * (-i T_k[r, c]) * y[c] over the terms' nonzero entries,
+    in Python complex arithmetic, which is cheaper than numpy's on 2 or 3
+    components.  It checks the coefficients as matrix() does, unless h
+    carries rates for the segment (see coupler.drive_spec), which it does
+    only where no check can fail (schedules.in_box): then one fused closure
+    forms the same products in the same order, so it returns the same bits,
+    and checks nothing.
     """
     coefficients_at, dim = h._checked, h.dim
     # the side tag matters only at the sign flip, which a segment can only
@@ -148,6 +151,9 @@ def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, list], list
     # -1j * (matrix(z) @ y) rounds, unless numpy's product fuses them
     rows = [[(k, c, complex(-1j * t[r, c])) for c in range(dim)
              for k, t in enumerate(h.terms) if t[r, c]] for r in range(dim)]
+    rates = h._rates(a, b) if hasattr(h, "_rates") else None  # see coupler.drive_spec
+    if rates is not None:
+        return _fused(rates, rows)
 
     def rhs(z: float, y: list) -> list:
         # the integrator's z is an np.float64, whose arithmetic raises under
@@ -164,6 +170,39 @@ def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, list], list
         return out
 
     return rhs
+
+
+def _fused(rates, rows: list) -> Callable[[float, list], list]:
+    """_rhs's closure unrolled, each sum from 0j as it adds them, for a
+    segment's rates (see schedules.segment_rates) on an off-diagonal term 0
+    and a diagonal term 1.  The rates hold on the segment [a, b], and the
+    integrator evaluates only there: _dop853 at a + h0 with h0 <= b - a and
+    at t + c * h with 0 <= c <= 1, h = t_new - t >= 0 and t_new <= b.
+    Rounding is monotone, so z >= a and z passes b by at most a rounding,
+    far within drive's position check; where b = 0, t + (0 - t) is exactly
+    0.  So each z has the segment's sign, and is 0 only at a side-tagged end.
+    """
+    (_, _, m00), (_, _, m01) = rows[0]
+    (_, _, m10), (_, _, m11) = rows[1]
+    if callable(rates):  # STA: both rates vary with z
+        def fused(z: float, y: list) -> list:
+            w, d = rates(float(z))
+            y0, y1 = y
+            return [0j + d * m00 * y0 + w * m01 * y1, 0j + w * m10 * y0 + d * m11 * y1]
+
+        return fused
+
+    # raw: the mismatch is constant, so its products with the diagonal
+    # entries are formed once
+    omega0, k, delta = rates
+    d00, d11 = delta * m00, delta * m11
+
+    def fused_raw(z: float, y: list) -> list:
+        w = omega0 * (1.0 / math.cosh(k * float(z)))
+        y0, y1 = y
+        return [0j + d00 * y0 + w * m01 * y1, 0j + w * m10 * y0 + d11 * y1]
+
+    return fused_raw
 
 
 def _check_tol(tol: float) -> None:

@@ -244,6 +244,46 @@ def drive(p: ModelParams, z: float, side: int = 0) -> tuple[float, float]:
     return _raw(p.omega0, p.delta0, p.half_length, z, side)[:2]
 
 
+# The box of ordinary designs: floats with omega0, L in [1e-50, 1e50] and
+# delta0 in {0} U [1e-50, 1e50].  There the raw rates omega0 sech(k z) <=
+# omega0 and +-delta0 are finite, and so are the STA ones (sta_schedule's last
+# two fields) at every z in [-L, L]: with delta0 = 0 they are the raw ones.
+# Otherwise k = 2 pi / L <= 6.3e50, and at every z, sech(k z) <= 1 and
+# |tanh(k z)| <= 1: omega <= 1e50 and |delta| = delta0, so D = omega^2 +
+# delta^2 is in [1e-100, 2e100], a normal float.  |delta / D| <= 1 / delta0 <=
+# 1e50 gives |r| <= |rate| <= (k / 2) 1e50 <= 3.2e100 and |r_dot| <= k |rate|
+# (sech^2 + 2 tanh^2) <= 6.1e151, so omega_eff = omega sqrt(1 + r^2) < 1e151
+# and |delta_eff| <= delta0 + |r_dot| / 2 < 1e152: both are finite, and so is
+# their sum, and propagation's coefficient check cannot fail.  The proof
+# holds for float64 arithmetic: ints and numpy's narrower floats lie outside.
+_BOX_LO, _BOX_HI = 1e-50, 1e50
+
+
+def in_box(omega0: float, delta0: float, half_length: float) -> bool:
+    """Whether the rates and L lie in the box where every coefficient the
+    integrator can see is finite (see _BOX_LO)."""
+    return (isinstance(omega0, float) and isinstance(delta0, float)
+            and isinstance(half_length, float) and _BOX_LO <= omega0 <= _BOX_HI
+            and _BOX_LO <= half_length <= _BOX_HI
+            and (delta0 == 0.0 or _BOX_LO <= delta0 <= _BOX_HI))
+
+
+def segment_rates(p: ModelParams, a: float, b: float):
+    """drive(p) with no check, for propagation._rhs to fuse, on a segment
+    [a, b] of the device on one side of the sign flip, where its side is
+    fixed and its checks cannot fail: raw, (omega0, k, delta), _raw's coupling
+    omega0 * (1.0 / cosh(k * z)) and constant mismatch; STA, a function z ->
+    (omega_eff, delta_eff).  None for another segment or a design outside
+    the box (see in_box)."""
+    omega0, delta0, L = p.omega0, p.delta0, p.half_length
+    if not (in_box(omega0, delta0, L) and -L <= a < b <= L) or a < 0.0 < b:
+        return None
+    side = -1 if b <= 0.0 else +1
+    if p.sta:
+        return lambda z: sta_schedule(omega0, delta0, L, z, side)[3:]
+    return omega0, _TWO_PI / L, delta0 if side < 0 else -delta0
+
+
 def schedule_grid(p: ModelParams, zs: np.ndarray) -> SchedulePoint:
     """Schedule points over positions zs, each field an array over zs.
 

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .coupler import build_h2
+from .coupler import build_h2, drive_spec
 from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
 from .schedules import ModelParams, drive
 
@@ -72,9 +72,10 @@ def build_h3(sp: SplitterParams) -> HamiltonianSpec:
 def build_pair(sp: SplitterParams) -> HamiltonianSpec:
     """The (middle, bright) pair less its (D / 2) I term: sqrt(2) W sigma_x
     + (D / 2) sigma_z on drive(sp.base), or for an STA reduced_cd array the
-    traceless design's build_h2 (see SplitterParams.design)."""
+    traceless design's build_h2 (see SplitterParams.design).  Either runs
+    unchecked on a design in the box, as build_h2 does."""
     q = sp.design
-    return HamiltonianSpec(_PAIR_TERMS, partial(drive, q)) if q is sp.base else build_h2(q)
+    return drive_spec(_PAIR_TERMS, q) if q is sp.base else build_h2(q)
 
 
 def simulate_splitter(sp: SplitterParams, tol: float = 1e-10) -> Trajectory:

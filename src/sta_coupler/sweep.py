@@ -11,7 +11,7 @@ import numpy as np
 
 from .coupler import build_h2
 from .propagation import HamiltonianSpec, _check_coefficients, _check_tol, propagate_adaptive
-from .schedules import ModelParams, adiabatic_transport, check_finite, sta_schedule
+from .schedules import ModelParams, adiabatic_transport, check_finite, in_box, sta_schedule
 from .splitter import MODES, SplitterParams, build_pair, reduced_rates
 
 __all__ = [
@@ -132,22 +132,6 @@ def _mirrored_i2(h: HamiltonianSpec, half_length: float, tol: float) -> float:
     return 4.0 * pa * pb / (pa + pb) ** 2
 
 
-# The closed-form guard evaluates sta_schedule at -L and 0- on the rates
-# (omega0, delta0) a cell works on, then checks its last two fields.  For
-# floats in the box omega0, L in [1e-50, 1e50], delta0 in {0} U [1e-50, 1e50]
-# it cannot raise, so _cell skips it there.  With delta0 = 0 the schedules are
-# the raw omega0 sech(k z) <= omega0 and -+0.  Otherwise k = 2 pi / L <= 6.3e50;
-# at z = -L (sech 2 pi = 3.7e-3, |tanh| < 1) and at 0- (sech 1, tanh 0),
-# omega is in [3.7e-53, 1e50] and delta = delta0, so D = omega^2 + delta^2 is
-# in [1e-100, 2e100], a normal float.  |delta / D| <= 1 / delta0 <= 1e50 gives
-# |r| <= |rate| <= (k / 2) 1e50 <= 3.2e100 and
-# |r_dot| <= k |rate| (sech^2 + 2 tanh^2) <= 6.1e151, so omega_eff =
-# omega sqrt(1 + r^2) < 1e151 and |delta_eff| <= delta0 + |r_dot| / 2 < 1e152:
-# both are finite, and so is their sum.  Other types (ints, numpy's narrower
-# floats) take the guard.
-_BOX_LO, _BOX_HI = 1e-50, 1e50
-
-
 def _half_length(total_length: float) -> float:
     half = total_length / 2.0
     if half == 0.0 < total_length:  # the smallest subnormal length
@@ -164,10 +148,7 @@ def _cell(metric: str, sta: bool, tol: float, splitter_mode: str,
     if _closed_form_applies(metric, sta, splitter_mode):
         if metric == "splitting_infidelity":  # SplitterParams.design, as floats
             omega0, delta0 = reduced_rates(omega0, delta0)
-        if not (isinstance(omega0, float) and isinstance(delta0, float)
-                and isinstance(half, float) and _BOX_LO <= omega0 <= _BOX_HI
-                and _BOX_LO <= half <= _BOX_HI
-                and (delta0 == 0.0 or _BOX_LO <= delta0 <= _BOX_HI)):
+        if not in_box(omega0, delta0, half):  # in the box no coefficient can fail
             # fail as the integrator would; +L and 0+ mirror -L and 0-, D negated
             for z, side in ((-half, 0), (0.0, -1)):
                 _check_coefficients(sta_schedule(omega0, delta0, half, z, side)[3:], z)
@@ -189,10 +170,11 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
 
     STA final_i2 and STA reduced_cd splitting_infidelity are evaluated in
     closed form (:func:`adiabatic_transport`).  Outside a box of ordinary
-    designs, where it provably passes (see _BOX_LO), the integrator's
-    coefficients are first checked finite at -L and 0-.  Every other cell
-    mirrors a left-half run at tol / 16 (see _mirrored_i2) of the two-guide
-    generator or of the array's (middle, bright) pair (see splitter.build_pair).
+    designs, where it provably passes (see schedules.in_box), the
+    integrator's coefficients are first checked finite at -L and 0-.  Every
+    other cell mirrors a left-half run at tol / 16 (see _mirrored_i2) of the
+    two-guide generator or of the array's (middle, bright) pair (see
+    splitter.build_pair); inside the box that run checks no coefficient.
     The arguments are checked here; :func:`run_sweep` and
     :func:`threshold_length` check theirs once and score cells alike.
     """

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sta_coupler import coupler, propagation
 from sta_coupler.coupler import build_h2
 from sta_coupler.propagation import (
     HamiltonianSpec,
@@ -13,7 +15,7 @@ from sta_coupler.propagation import (
     propagate_pwc,
 )
 from sta_coupler.schedules import ModelParams, drive, effective_schedule
-from sta_coupler.splitter import SplitterParams, build_h3
+from sta_coupler.splitter import SplitterParams, build_h3, build_pair
 from test_splitter import reduced_h2
 
 UP = np.array([1.0, 0.0], dtype=complex)
@@ -198,6 +200,105 @@ class TestRhs:
             drive(p, 0.0)
         with pytest.raises(ValueError, match="outside the device"):
             drive(p, 1.5 * L)
+
+
+def fused_specs(p):
+    """Every generator that carries per-segment rates, on design p: the
+    coupler's and the splitter's (middle, bright) pair in both modes, which
+    for a raw p is the raw pair either way."""
+    return {"h2": build_h2(p), **{f"pair-{mode}": build_pair(SplitterParams(p, mode))
+                                  for mode in ("direct", "reduced_cd")}}
+
+
+# seeded designs inside the box of schedules.in_box, raw and STA
+FUSED_DESIGNS = [ModelParams(*(10.0 ** np.random.default_rng(31 + i).uniform(
+    [-1.0, -2.0, -0.3], [1.0, 0.5, 1.0])).tolist(), sta=i % 2 == 1) for i in range(8)]
+FUSED_DESIGNS += [ModelParams(3.0, 0.0, 5.0), ModelParams(3.0, 0.0, 5.0, sta=True)]
+
+
+SIGNED_STATES = [[complex(*parts[:2]), complex(*parts[2:])]
+                 for parts in itertools.product([0.0, -0.0, 1.0, -1.0], repeat=4)]
+
+
+def design_id(p):
+    return f"{'sta' if p.sta else 'raw'}-{p.omega0:.3g}-{p.delta0:.3g}-{p.half_length:.3g}"
+
+
+class TestFusedRhs:
+    """A design in the box runs a fused right-hand side that checks nothing
+    and returns the checked one's bits; any other design, spec or range
+    runs the checked one."""
+
+    @pytest.mark.parametrize("p", FUSED_DESIGNS, ids=design_id)
+    def test_same_bits_as_checked(self, p):
+        L = p.half_length
+        rng = np.random.default_rng(16)
+        for name, h in fused_specs(p).items():
+            twin = HamiltonianSpec(h.terms, h.coefficients)  # no rates: checked
+            for a, b in ((-L, 0.0), (0.0, L)):
+                fused, checked = _rhs(h, a, b), _rhs(twin, a, b)
+                assert fused.__code__ is not checked.__code__, (name, a, b)
+                # both ends, z = 0 included on each side, and seeded points; at
+                # the ends, every state with parts in {+-0, +-1}, whose signed
+                # zeros show a sum that does not start from 0j as acc does
+                points = [(z, SIGNED_STATES) for z in (a, b)]
+                points += [(z, [(rng.normal(size=2) + 1j * rng.normal(size=2)).tolist()])
+                           for z in rng.uniform(a, b, 20)]
+                for z, states in points:
+                    for y in states:
+                        got, want = fused(np.float64(z), y), checked(np.float64(z), y)
+                        assert [type(v) for v in got] == [complex, complex]
+                        assert np.array(got).tobytes() == np.array(want).tobytes(), (name, z)
+
+    @pytest.mark.parametrize("p", FUSED_DESIGNS[:4], ids=design_id)
+    def test_runs_byte_identical_without_rates(self, p, monkeypatch):
+        L = p.half_length
+
+        def runs():
+            return [propagate_adaptive(h, UP, -L, L, tol)
+                    for h in fused_specs(p).values() for tol in (1e-6, 1e-10)]
+
+        fused = runs()
+        monkeypatch.setattr(coupler, "segment_rates", lambda p, a, b: None)
+        checked = runs()
+        for f, c in zip(fused, checked):
+            assert (f.z.tobytes(), f.states.tobytes(), f.stats) == (
+                c.z.tobytes(), c.states.tobytes(), c.stats)
+
+    def test_device_range_is_checked(self):
+        # a segment past the device runs the checked closure, which names z
+        for sta in (False, True):
+            h = build_h2(ModelParams(3.0, 0.2, 5.0, sta=sta))
+            assert h._rates(-10.0, 0.0) is None and h._rates(-5.0, 5.0) is None
+            with pytest.raises(ValueError, match=r"^position z=-10\.0 outside the device"):
+                propagate_adaptive(h, UP, -10.0, 0.0)
+
+    @pytest.mark.parametrize("p", [
+        ModelParams(3, 1, 5, sta=True), ModelParams(np.float32(3.0), np.float32(0.2), 5.0),
+        ModelParams(1e-60, 0.2, 5.0, sta=True), ModelParams(3.0, 1e-60, 5.0, sta=True),
+        ModelParams(3.0, 0.2, 2e50)], ids=["int", "float32", "omega0", "delta0", "length"])
+    def test_outside_the_box_checks_every_call(self, p, monkeypatch):
+        calls = []
+        check = propagation._check_coefficients
+        monkeypatch.setattr(propagation, "_check_coefficients",
+                            lambda f, z: calls.append(z) or check(f, z))
+        L = p.half_length
+        for h in fused_specs(p).values():
+            assert h._rates(-L, 0.0) is None
+            rhs = _rhs(h, -L, 0.0)
+            rhs(-L, UP.tolist())
+            rhs(0.0, UP.tolist())
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("p, message", [
+        (ModelParams(np.float32(1e-30), np.float32(1e-30), 5.0, sta=True),
+         r"divide by zero encountered in scalar divide on \[-5\.0, 0\.0\]"),
+        (ModelParams(1.0, 0.1, np.float32(1e-30), sta=True),
+         r"overflow encountered in scalar multiply on \[-1\.0000000031710769e-30, 0\.0\]"),
+    ], ids=["rates", "length"])
+    def test_narrow_floats_fail_as_before(self, p, message):
+        with pytest.raises(FloatingPointError, match=f"^{message}$"):
+            propagate_adaptive(build_h2(p), UP, -p.half_length, p.half_length, 1e-6)
 
 
 class TestAnalyticOracles:

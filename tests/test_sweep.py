@@ -16,7 +16,7 @@ from sta_coupler.schedules import (ModelParams, adiabatic_transport, check_finit
                                    sta_schedule)
 from sta_coupler.splitter import (SplitterParams, build_h3, build_pair, reduced_rates,
                                   simulate_splitter)
-from sta_coupler import sweep
+from sta_coupler import coupler, propagation, schedules, sweep
 from sta_coupler.sweep import (
     AxisSpec,
     SweepSpec,
@@ -513,20 +513,17 @@ class TestClosedFormGuard:
         assert passed > 100
 
 
-def _in_box(omega0, delta0, L):
-    lo, hi = sweep._BOX_LO, sweep._BOX_HI
-    return lo <= omega0 <= hi and lo <= L <= hi and (delta0 == 0.0 or lo <= delta0 <= hi)
-
-
 class TestGuardBox:
     """A closed-form cell skips the guard only inside a box of designs where
     the guard cannot fail, and a sweep checks its inputs once."""
 
     def test_box_is_sound(self):
-        # the full two-point guard passes on every design inside the box, as
-        # the coupler's rates and as the reduced_cd array's
-        lo, hi = sweep._BOX_LO, sweep._BOX_HI
-        inside = (10.0 ** np.random.default_rng(28).uniform(-50.0, 50.0, size=(2000, 3))).tolist()
+        # the coefficient check passes at every z of the device on every
+        # design inside the box, as the coupler's rates and as the reduced_cd
+        # array's: at -L, 0-, 0+ and L and at seeded positions between
+        lo, hi = schedules._BOX_LO, schedules._BOX_HI
+        rng = np.random.default_rng(28)
+        inside = (10.0 ** rng.uniform(-50.0, 50.0, size=(2000, 3))).tolist()
         designs = [*itertools.product(RATES, [0.0, *RATES], HALF_LENGTHS), *LOG_DESIGNS,
                    *itertools.product([lo, hi], [0.0, lo, hi], [lo, hi]), *inside]
         checked = 0
@@ -536,10 +533,14 @@ class TestGuardBox:
             except FloatingPointError:  # sqrt(2) * omega0 overflows
                 reduced = []
             for rates in [(omega0, delta0), *reduced]:
-                if not _in_box(*rates, L):
+                if not schedules.in_box(*rates, L):
                     continue
-                for z, side in ((-L, 0), (0.0, -1)):
-                    _check_coefficients(sta_schedule(*rates, L, z, side)[3:], z)
+                points = [(-L, 0), (0.0, -1), (0.0, +1), (L, 0)]
+                points += [(z, 0) for z in (L * rng.uniform(-1.0, 1.0, 6)).tolist()]
+                for z, side in points:
+                    values = sta_schedule(*rates, L, z, side)
+                    _check_coefficients(values[:2], z)  # the raw rates
+                    _check_coefficients(values[3:], z)
                 checked += 1
         assert checked > 4000
 
@@ -573,6 +574,41 @@ class TestGuardBox:
         grid = run_sweep(spec).grid
         assert calls == {"check_finite": 5, "_check_metric": 1, "_check_tol": 1,
                          "sta_schedule": 0, "_check_coefficients": 0}
+        monkeypatch.undo()
+        assert grid.tobytes() == cell_loop(spec).tobytes()
+
+    @pytest.mark.parametrize("metric, sta, mode", [
+        ("final_i2", False, "reduced_cd"), ("splitting_infidelity", False, "reduced_cd"),
+        ("splitting_infidelity", True, "direct")], ids=["raw", "raw-splitter", "direct"])
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    def test_integrated_tile_checks_no_call(self, monkeypatch, metric, sta, mode, inside):
+        # one 12 x 2 tile of integrated cells, omega0 = 0 column included:
+        # inside the box the fused right-hand side evaluates no drive and
+        # checks no position and no coefficient; with delta0 below the box,
+        # every right-hand side call does all three
+        calls = {}
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            calls[name] = 0
+            monkeypatch.setattr(module, name, count)
+
+        for module, name in [(coupler, "drive"), (schedules, "_check_position"),
+                             (propagation, "_check_coefficients"),
+                             (sweep, "_check_coefficients")]:
+            counted(module, name)
+        delta0 = AxisSpec("delta0", 0.2, 1.0, 2) if inside else AxisSpec("delta0", 1e-70, 1e-60, 2)
+        spec = SweepSpec(AxisSpec("omega0", 0.0, 5.5, 12), delta0, {"total_length": 10.0},
+                         metric=metric, sta=sta, tol=1e-6, splitter_mode=mode)
+        grid = run_sweep(spec).grid
+        if inside:
+            assert calls == {"drive": 0, "_check_position": 0, "_check_coefficients": 0}
+        else:
+            assert len(set(calls.values())) == 1 and calls["drive"] > 1000
         monkeypatch.undo()
         assert grid.tobytes() == cell_loop(spec).tobytes()
 
