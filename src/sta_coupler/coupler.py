@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from functools import partial
 
 import numpy as np
@@ -20,7 +21,7 @@ def drive_spec(terms: tuple[np.ndarray, np.ndarray], p: ModelParams) -> Hamilton
     """The generator drive(p)[0] * terms[0] + drive(p)[1] * terms[1], of an
     off-diagonal and a diagonal 2x2 term, with drive's rates per segment
     (see schedules.segment_rates), which propagation._rhs fuses into a
-    right-hand side that checks nothing on a design in schedules.in_box."""
+    right-hand side that checks nothing on a raw design in schedules.in_box."""
     h = HamiltonianSpec(terms, partial(drive, p))
     object.__setattr__(h, "_rates", partial(segment_rates, p))
     return h
@@ -29,12 +30,16 @@ def drive_spec(terms: tuple[np.ndarray, np.ndarray], p: ModelParams) -> Hamilton
 def build_h2(p: ModelParams) -> HamiltonianSpec:
     """2x2 generator omega*sigma_x + delta*sigma_z from the raw or
     STA-effective schedules (see :func:`drive`); the integrator checks them
-    on every call unless the design lies in the box (see drive_spec)."""
+    on every call unless the design is raw and in the box (see drive_spec)."""
     return drive_spec((_SIGMA_X, _SIGMA_Z), p)
 
 
 def simulate(p: ModelParams, input_guide: int = 1, tol: float = 1e-10) -> Trajectory:
     """Propagate light injected in one guide across the whole device."""
+    try:
+        operator.index(input_guide)
+    except TypeError:
+        raise ValueError(f"input_guide must be an integer, got {input_guide!r}") from None
     if input_guide not in (1, 2):
         raise ValueError(f"input_guide must be 1 or 2, got {input_guide}")
     c0 = np.zeros(2, dtype=complex)

@@ -137,10 +137,10 @@ def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, list], list
     sums of f_k(z) * (-i T_k[r, c]) * y[c] over the terms' nonzero entries,
     in Python complex arithmetic, which is cheaper than numpy's on 2 or 3
     components.  It checks the coefficients as matrix() does, unless h
-    carries rates for the segment (see coupler.drive_spec), which it does
-    only where no check can fail (schedules.in_box): then one fused closure
-    forms the same products in the same order, so it returns the same bits,
-    and checks nothing.
+    carries a raw design's rates for the segment (see coupler.drive_spec),
+    which it does only where no check can fail (schedules.in_box): then one
+    fused closure forms the same products in the same order, so it returns
+    the same bits, and checks nothing.
     """
     coefficients_at, dim = h._checked, h.dim
     # the side tag matters only at the sign flip, which a segment can only
@@ -172,8 +172,8 @@ def _rhs(h: HamiltonianSpec, a: float, b: float) -> Callable[[float, list], list
     return rhs
 
 
-def _fused(rates, rows: list) -> Callable[[float, list], list]:
-    """_rhs's closure unrolled, each sum from 0j as it adds them, for a
+def _fused(rates: tuple[float, float, float], rows: list) -> Callable[[float, list], list]:
+    """_rhs's closure unrolled, each sum from 0j as it adds them, for a raw
     segment's rates (see schedules.segment_rates) on an off-diagonal term 0
     and a diagonal term 1.  The rates hold on the segment [a, b], and the
     integrator evaluates only there: _dop853 at a + h0 with h0 <= b - a and
@@ -184,25 +184,17 @@ def _fused(rates, rows: list) -> Callable[[float, list], list]:
     """
     (_, _, m00), (_, _, m01) = rows[0]
     (_, _, m10), (_, _, m11) = rows[1]
-    if callable(rates):  # STA: both rates vary with z
-        def fused(z: float, y: list) -> list:
-            w, d = rates(float(z))
-            y0, y1 = y
-            return [0j + d * m00 * y0 + w * m01 * y1, 0j + w * m10 * y0 + d * m11 * y1]
-
-        return fused
-
-    # raw: the mismatch is constant, so its products with the diagonal
-    # entries are formed once
+    # the mismatch is constant, so its products with the diagonal entries
+    # are formed once
     omega0, k, delta = rates
     d00, d11 = delta * m00, delta * m11
 
-    def fused_raw(z: float, y: list) -> list:
+    def fused(z: float, y: list) -> list:
         w = omega0 * (1.0 / math.cosh(k * float(z)))
         y0, y1 = y
         return [0j + d00 * y0 + w * m01 * y1, 0j + w * m10 * y0 + d11 * y1]
 
-    return fused_raw
+    return fused
 
 
 def _check_tol(tol: float) -> None:

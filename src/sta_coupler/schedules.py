@@ -42,22 +42,25 @@ _SINH_TWO_PI = math.sinh(_TWO_PI)
 _COSH_TWO_PI = math.cosh(_TWO_PI)
 
 
-def check_finite(name: str, value, minimum: float = -math.inf) -> None:
-    """Raise ValueError naming the field unless value is a finite real
-    number of at least minimum."""
+def check_finite(name: str, value, minimum: float = -math.inf) -> float:
+    """value as a Python float, the arithmetic in_box's proof holds for; ValueError
+    naming the field unless value is a finite real number of at least minimum."""
     try:
         finite = math.isfinite(value)
     except (TypeError, OverflowError):  # not a real number, or an int beyond float
         finite = False
     if not finite:
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if value < minimum:
+    number = float(value)
+    if number < minimum:
         raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
+    return number
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical design point of the coupler.
+    """Physical design point of the coupler, its three numbers stored as
+    Python floats (see check_finite).
 
     omega0 : maximum coupling amplitude, 1/mm (>= 0)
     delta0 : phase-mismatch magnitude, 1/mm (>= 0)
@@ -72,9 +75,9 @@ class ModelParams:
     sta: bool = False
 
     def __post_init__(self) -> None:
-        check_finite("omega0", self.omega0, 0.0)
-        check_finite("delta0", self.delta0, 0.0)
-        check_finite("half_length", self.half_length)
+        object.__setattr__(self, "omega0", check_finite("omega0", self.omega0, 0.0))
+        object.__setattr__(self, "delta0", check_finite("delta0", self.delta0, 0.0))
+        object.__setattr__(self, "half_length", check_finite("half_length", self.half_length))
         if not self.half_length > 0.0:
             raise ValueError(f"half_length must be > 0, got {self.half_length}")
 
@@ -255,33 +258,28 @@ def drive(p: ModelParams, z: float, side: int = 0) -> tuple[float, float]:
 # (sech^2 + 2 tanh^2) <= 6.1e151, so omega_eff = omega sqrt(1 + r^2) < 1e151
 # and |delta_eff| <= delta0 + |r_dot| / 2 < 1e152: both are finite, and so is
 # their sum, and propagation's coefficient check cannot fail.  The proof
-# holds for float64 arithmetic: ints and numpy's narrower floats lie outside.
+# holds for float64 arithmetic, in which check_finite stores every design.
 _BOX_LO, _BOX_HI = 1e-50, 1e50
 
 
 def in_box(omega0: float, delta0: float, half_length: float) -> bool:
     """Whether the rates and L lie in the box where every coefficient the
     integrator can see is finite (see _BOX_LO)."""
-    return (isinstance(omega0, float) and isinstance(delta0, float)
-            and isinstance(half_length, float) and _BOX_LO <= omega0 <= _BOX_HI
-            and _BOX_LO <= half_length <= _BOX_HI
+    return (_BOX_LO <= omega0 <= _BOX_HI and _BOX_LO <= half_length <= _BOX_HI
             and (delta0 == 0.0 or _BOX_LO <= delta0 <= _BOX_HI))
 
 
 def segment_rates(p: ModelParams, a: float, b: float):
-    """drive(p) with no check, for propagation._rhs to fuse, on a segment
-    [a, b] of the device on one side of the sign flip, where its side is
-    fixed and its checks cannot fail: raw, (omega0, k, delta), _raw's coupling
-    omega0 * (1.0 / cosh(k * z)) and constant mismatch; STA, a function z ->
-    (omega_eff, delta_eff).  None for another segment or a design outside
-    the box (see in_box)."""
+    """A raw design's drive(p) with no check, for propagation._rhs to fuse,
+    on a segment [a, b] of the device on one side of the sign flip, where
+    its side is fixed and its checks cannot fail: (omega0, k, delta), _raw's
+    coupling omega0 * (1.0 / cosh(k * z)) and constant mismatch.  None for
+    an STA design, whose sweep and threshold cells mostly run in closed
+    form, another segment, or a design outside the box (see in_box)."""
     omega0, delta0, L = p.omega0, p.delta0, p.half_length
-    if not (in_box(omega0, delta0, L) and -L <= a < b <= L) or a < 0.0 < b:
+    if p.sta or not (in_box(omega0, delta0, L) and -L <= a < b <= L) or a < 0.0 < b:
         return None
-    side = -1 if b <= 0.0 else +1
-    if p.sta:
-        return lambda z: sta_schedule(omega0, delta0, L, z, side)[3:]
-    return omega0, _TWO_PI / L, delta0 if side < 0 else -delta0
+    return omega0, _TWO_PI / L, delta0 if b <= 0.0 else -delta0
 
 
 def schedule_grid(p: ModelParams, zs: np.ndarray) -> SchedulePoint:

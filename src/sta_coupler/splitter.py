@@ -72,8 +72,8 @@ def build_h3(sp: SplitterParams) -> HamiltonianSpec:
 def build_pair(sp: SplitterParams) -> HamiltonianSpec:
     """The (middle, bright) pair less its (D / 2) I term: sqrt(2) W sigma_x
     + (D / 2) sigma_z on drive(sp.base), or for an STA reduced_cd array the
-    traceless design's build_h2 (see SplitterParams.design).  Either runs
-    unchecked on a design in the box, as build_h2 does."""
+    traceless design's build_h2 (see SplitterParams.design).  A raw one
+    runs unchecked on a design in the box, as build_h2 does."""
     q = sp.design
     return drive_spec(_PAIR_TERMS, q) if q is sp.base else build_h2(q)
 

@@ -52,7 +52,8 @@ class AxisSpec:
         if self.name not in PARAMETERS:
             raise ValueError(f"axis name must be one of {PARAMETERS}, got {self.name!r}")
         for bound in ("lo", "hi"):
-            check_finite(f"axis {bound}", getattr(self, bound), 0.0)
+            value = check_finite(f"axis {bound}", getattr(self, bound), 0.0)
+            object.__setattr__(self, bound, value)
         try:
             operator.index(self.count)
         except TypeError:
@@ -87,8 +88,8 @@ class SweepSpec:
         remaining = set(PARAMETERS) - {self.axis_x.name, self.axis_y.name}
         if set(self.fixed) != remaining:
             raise ValueError(f"fixed must provide exactly {sorted(remaining)}")
-        for name, value in self.fixed.items():
-            check_finite(name, value, 0.0)
+        object.__setattr__(self, "fixed", {name: check_finite(name, value, 0.0)
+                                           for name, value in self.fixed.items()})
         _check_tol(self.tol)
 
 
@@ -180,10 +181,10 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     """
     _check_metric(metric, splitter_mode)
     _check_tol(tol)
-    check_finite("total_length", total_length, 0.0)  # as given, not as its half
+    total_length = check_finite("total_length", total_length, 0.0)  # as given, not as its half
     half = _half_length(total_length)
-    check_finite("omega0", omega0, 0.0)  # as ModelParams checks them
-    check_finite("delta0", delta0, 0.0)
+    omega0 = check_finite("omega0", omega0, 0.0)  # as ModelParams checks them
+    delta0 = check_finite("delta0", delta0, 0.0)
     return _cell(metric, sta, tol, splitter_mode, omega0, delta0, half)
 
 
@@ -242,15 +243,18 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
     _check_tol(tol)
-    lo_range, hi_range = length_range
-    for end, value in (("lo", lo_range), ("hi", hi_range)):
-        check_finite(f"search range {end}", value, 0.0)
+    try:
+        lo_range, hi_range = length_range
+    except (TypeError, ValueError):  # not iterable, or not two items
+        raise ValueError(f"length_range must be a (lo, hi) pair, got {length_range!r}") from None
+    lo_range = check_finite("search range lo", lo_range, 0.0)
+    hi_range = check_finite("search range hi", hi_range, 0.0)
     if not lo_range < hi_range:
         raise ValueError(f"invalid search range {length_range}")
     # checked once, as metric_value checks the first length scored, lo_range
     _half_length(lo_range)
-    check_finite("omega0", omega0, 0.0)
-    check_finite("delta0", delta0, 0.0)
+    omega0 = check_finite("omega0", omega0, 0.0)
+    delta0 = check_finite("delta0", delta0, 0.0)
 
     def metric(length: float) -> float:
         return _cell("final_i2", sta, tol, "reduced_cd", omega0, delta0, _half_length(length))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,14 @@ class TestSimulate:
     def test_invalid_input_guide(self):
         with pytest.raises(ValueError):
             simulate(FIG3_STA, input_guide=3)
+
+    @pytest.mark.parametrize("guide", [2.0, np.float64(1.0), "1", None],
+                             ids=["float", "float64", "str", "None"])
+    def test_input_guide_not_an_integer(self, guide):
+        # named here, not an IndexError from the state vector
+        message = f"input_guide must be an integer, got {guide!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simulate(FIG3_STA, input_guide=guide)
 
     def test_trajectory_conserves_norm(self):
         r = simulate(FIG3_STA, tol=1e-11)

@@ -3,6 +3,8 @@ import math
 import pickle
 import re
 import struct
+from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -545,14 +547,15 @@ class TestGuardBox:
         assert checked > 4000
 
     @pytest.mark.parametrize("metric", ["final_i2", "splitting_infidelity"])
-    def test_narrow_floats_take_the_guard(self, metric):
-        # the proof holds for float64 arithmetic only: these float32 designs
-        # lie in the box, but their schedules overflow in float32
-        with np.errstate(all="ignore"):
-            for design in [(np.float32(1e-30), np.float32(1e-30), 10.0),
-                           (1.0, 0.1, np.float32(1e-30))]:
-                with pytest.raises(FloatingPointError, match="non-finite coefficients"):
-                    metric_value(metric, True, *design)
+    def test_narrow_floats_skip_the_guard(self, monkeypatch, metric):
+        # the proof holds for float64 arithmetic only, and these float32
+        # designs would overflow float32 schedules: metric_value stores them
+        # as floats, which lie in the box, and scores them as their floats
+        designs = [(np.float32(1e-30), np.float32(1e-30), 10.0), (1.0, 0.1, np.float32(1e-30))]
+        wide = [metric_value(metric, True, *map(float, design)) for design in designs]
+        monkeypatch.setattr(sweep, "_check_coefficients", None)  # the guard's check
+        narrow = [metric_value(metric, True, *design) for design in designs]
+        assert np.array(narrow).tobytes() == np.array(wide).tobytes()
 
     @pytest.mark.parametrize("metric", ["final_i2", "splitting_infidelity"])
     def test_sweep_checks_once(self, monkeypatch, metric):
@@ -583,9 +586,9 @@ class TestGuardBox:
     @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
     def test_integrated_tile_checks_no_call(self, monkeypatch, metric, sta, mode, inside):
         # one 12 x 2 tile of integrated cells, omega0 = 0 column included:
-        # inside the box the fused right-hand side evaluates no drive and
-        # checks no position and no coefficient; with delta0 below the box,
-        # every right-hand side call does all three
+        # inside the box a raw design's fused right-hand side evaluates no
+        # drive and checks no position and no coefficient; with delta0 below
+        # the box, or an STA design, every right-hand side call does all three
         calls = {}
 
         def counted(module, name):
@@ -605,12 +608,74 @@ class TestGuardBox:
         spec = SweepSpec(AxisSpec("omega0", 0.0, 5.5, 12), delta0, {"total_length": 10.0},
                          metric=metric, sta=sta, tol=1e-6, splitter_mode=mode)
         grid = run_sweep(spec).grid
-        if inside:
+        if inside and not sta:
             assert calls == {"drive": 0, "_check_position": 0, "_check_coefficients": 0}
         else:
             assert len(set(calls.values())) == 1 and calls["drive"] > 1000
         monkeypatch.undo()
         assert grid.tobytes() == cell_loop(spec).tobytes()
+
+
+# one design (omega0, delta0, total_length) as each kind of real number
+NUMBER_KINDS = {
+    "int": (3, 1, 10),
+    "float32": tuple(map(np.float32, (1.5, 0.1, 25.0))),
+    "float64": tuple(map(np.float64, (1.5, 0.1, 25.0))),
+    "Fraction": (Fraction(3, 2), Fraction(1, 10), Fraction(25)),
+    "Decimal": (Decimal("1.5"), Decimal("0.1"), Decimal("25")),
+}
+
+
+def design_results(omega0, delta0, total):
+    """Every boundary that takes design numbers, run on one design, as bytes:
+    ModelParams and simulate, metric_value in each cell kind, run_sweep with
+    the length fixed and the rates on the axes, and threshold_length."""
+    results = []
+    for sta in (False, True):
+        run = simulate(ModelParams(omega0, delta0, total / 2, sta=sta), tol=1e-6)
+        results.append((run.z, run.states, run.stats))
+        for metric, mode in itertools.product(sweep.METRICS, ("direct", "reduced_cd")):
+            results.append(metric_value(metric, sta, omega0, delta0, total, 1e-6, mode))
+        spec = SweepSpec(AxisSpec("omega0", omega0, 2 * omega0, 2),
+                         AxisSpec("delta0", delta0, 2 * delta0, 2),
+                         {"total_length": total}, sta=sta, tol=1e-6)
+        results.append(run_sweep(spec).grid)
+    results.append(threshold_length(omega0, delta0, True, 0.9, (0 * total, total)))
+    return pickle.dumps(results)
+
+
+class TestNumberKinds:
+    """check_finite stores each design number as its Python float, so a
+    design given as another kind of real number runs as its float design."""
+
+    @pytest.mark.parametrize("kind", NUMBER_KINDS)
+    def test_same_bits_as_float(self, kind):
+        design = NUMBER_KINDS[kind]
+        assert design_results(*design) == design_results(*map(float, design))
+
+
+CELL_KINDS = [("final_i2", False, "reduced_cd"), ("final_i2", True, "reduced_cd"),
+              ("splitting_infidelity", False, "reduced_cd"),
+              ("splitting_infidelity", True, "direct"),
+              ("splitting_infidelity", True, "reduced_cd")]
+SCALE_DESIGNS = np.random.default_rng(15).uniform(
+    [0.5, 0.05, 2.0], [5.0, 1.0, 25.0], size=(12, 3)).tolist()
+
+
+@pytest.mark.parametrize("metric, sta, mode", CELL_KINDS,
+                         ids=["raw", "sta", "raw-splitter", "direct", "reduced_cd"])
+def test_scale_invariance(metric, sta, mode):
+    # the model depends on (omega0 L, delta0 L) alone: scaling the rates by
+    # k and the length by 1 / k leaves every cell, to rounding in closed
+    # form and within tol where it integrates
+    closed_form = sweep._closed_form_applies(metric, sta, mode)
+    for tol in (1e-6,) if closed_form else (1e-6, 1e-10):
+        bound = 4 * 2.0 ** -52 if closed_form else tol
+        for omega0, delta0, total in SCALE_DESIGNS:
+            value = metric_value(metric, sta, omega0, delta0, total, tol, mode)
+            for k in (0.3, 3.0):
+                scaled = metric_value(metric, sta, k * omega0, k * delta0, total / k, tol, mode)
+                assert abs(scaled - value) <= bound, (omega0, delta0, total, k, tol)
 
 
 class TestCallerErrorState:
@@ -731,6 +796,13 @@ class TestThreshold:
         length_range = (value, 2.0) if end == "lo" else (0.0, value)
         bound = "must be >= 0" if value == -1.0 else "must be finite"
         with pytest.raises(ValueError, match=f"search range {end} {bound}"):
+            threshold_length(1.0, 0.1, True, target=0.9, length_range=length_range)
+
+    @pytest.mark.parametrize("length_range", [None, 5.0, (1.0,), (0.0, 1.0, 2.0)],
+                             ids=["None", "float", "one", "three"])
+    def test_range_not_a_pair(self, length_range):
+        message = f"length_range must be a (lo, hi) pair, got {length_range!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             threshold_length(1.0, 0.1, True, target=0.9, length_range=length_range)
 
     def test_range_validation(self):
