@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -434,6 +435,10 @@ def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
 
 
 def _allocate_steps(segments: list[tuple[float, float]], steps: int) -> list[int]:
+    try:
+        operator.index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if steps < len(segments):
@@ -451,27 +456,9 @@ def _allocate_steps(segments: list[tuple[float, float]], steps: int) -> list[int
     return counts
 
 
-def _cell_unitary(h: np.ndarray, dz: float) -> np.ndarray:
-    """exp(-i h dz) for Hermitian h (analytic for 2x2, eigh for 3x3)."""
-    if h.shape == (2, 2):
-        tr = (h[0, 0] + h[1, 1]).real / 2.0
-        a = (h[0, 0] - h[1, 1]).real / 2.0
-        b = h[0, 1]
-        w = math.sqrt(a * a + abs(b) ** 2)
-        ang = w * dz
-        if w == 0.0:
-            core = np.eye(2, dtype=complex)
-        else:
-            h0 = np.array([[a, b], [np.conj(b), -a]], dtype=complex)
-            core = math.cos(ang) * np.eye(2) - 1j * (math.sin(ang) / w) * h0
-        return np.exp(-1j * tr * dz) * core
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w * dz)) @ v.conj().T
-
-
 def propagate_pwc(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
                   z_to: float, steps: int) -> Trajectory:
-    """Piecewise-constant unitary-product propagation (midpoint rule)."""
+    """Piecewise-constant unitary product (midpoint rule), one batched eigh per segment."""
     c = _check_initial_state(c0, h.dim)
     segments = _segments(z_from, z_to)
     counts = _allocate_steps(segments, steps)
@@ -484,9 +471,10 @@ def propagate_pwc(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
     i = 1
     for (a, b), n in zip(segments, counts):
         dz = (b - a) / n
-        for j in range(n):
-            zm = a + (j + 0.5) * dz
-            c = _cell_unitary(h.matrix(zm), dz) @ c
+        w, v = np.linalg.eigh(np.array([h.matrix(a + (j + 0.5) * dz) for j in range(n)]))
+        cells = (v * np.exp(-1j * w * dz)[:, None, :]) @ v.conj().swapaxes(1, 2)
+        for j, cell in enumerate(cells):
+            c = cell @ c
             zs[i] = b if j == n - 1 else a + (j + 1) * dz
             states[i] = c
             i += 1

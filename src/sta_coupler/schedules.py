@@ -57,10 +57,17 @@ def check_finite(name: str, value, minimum: float = -math.inf) -> float:
     return number
 
 
+def check_sta(sta) -> bool:
+    """sta as a Python bool; ValueError naming it unless it is a bool or np.bool_."""
+    if not isinstance(sta, (bool, np.bool_)):
+        raise ValueError(f"sta must be a bool, got {sta!r}")
+    return bool(sta)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical design point of the coupler, its three numbers stored as
-    Python floats (see check_finite).
+    Python floats (see check_finite) and sta as a bool (see check_sta).
 
     omega0 : maximum coupling amplitude, 1/mm (>= 0)
     delta0 : phase-mismatch magnitude, 1/mm (>= 0)
@@ -80,6 +87,7 @@ class ModelParams:
         object.__setattr__(self, "half_length", check_finite("half_length", self.half_length))
         if not self.half_length > 0.0:
             raise ValueError(f"half_length must be > 0, got {self.half_length}")
+        object.__setattr__(self, "sta", check_sta(self.sta))
 
     @property
     def total_length(self) -> float:

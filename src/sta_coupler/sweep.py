@@ -10,8 +10,8 @@ from functools import partial
 import numpy as np
 
 from .coupler import build_h2
-from .propagation import HamiltonianSpec, _check_coefficients, _check_tol, propagate_adaptive
-from .schedules import ModelParams, adiabatic_transport, check_finite, in_box, sta_schedule
+from .propagation import HamiltonianSpec, _check_tol, propagate_adaptive
+from .schedules import ModelParams, adiabatic_transport, check_finite, check_sta, in_box
 from .splitter import MODES, SplitterParams, build_pair, reduced_rates
 
 __all__ = [
@@ -90,6 +90,7 @@ class SweepSpec:
             raise ValueError(f"fixed must provide exactly {sorted(remaining)}")
         object.__setattr__(self, "fixed", {name: check_finite(name, value, 0.0)
                                            for name, value in self.fixed.items()})
+        object.__setattr__(self, "sta", check_sta(self.sta))
         _check_tol(self.tol)
 
 
@@ -142,7 +143,8 @@ def _half_length(total_length: float) -> float:
 
 def _cell(metric: str, sta: bool, tol: float, splitter_mode: str,
           omega0: float, delta0: float, half: float) -> float:
-    """metric_value on inputs its callers have checked, with half = L."""
+    """metric_value on inputs its callers have checked, with half = L; outside
+    schedules.in_box a closed-form cell first runs its generator's own check."""
     if omega0 == 0.0 or half == 0.0:
         # input stays put: I2 = 0 for guide-1 input, I1 = I3 = 0 for the splitter
         return 0.0 if metric == "final_i2" else 0.5
@@ -150,9 +152,10 @@ def _cell(metric: str, sta: bool, tol: float, splitter_mode: str,
         if metric == "splitting_infidelity":  # SplitterParams.design, as floats
             omega0, delta0 = reduced_rates(omega0, delta0)
         if not in_box(omega0, delta0, half):  # in the box no coefficient can fail
-            # fail as the integrator would; +L and 0+ mirror -L and 0-, D negated
-            for z, side in ((-half, 0), (0.0, -1)):
-                _check_coefficients(sta_schedule(omega0, delta0, half, z, side)[3:], z)
+            # +L and 0+ mirror -L and 0-, D negated
+            h = build_h2(ModelParams(omega0, delta0, half, sta=True))
+            h.matrix(-half)
+            h.matrix(0.0, -1)
         transfer = adiabatic_transport(omega0, delta0, half)[1]
     else:
         p = ModelParams(omega0=omega0, delta0=delta0, half_length=half, sta=sta)
@@ -172,7 +175,7 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     STA final_i2 and STA reduced_cd splitting_infidelity are evaluated in
     closed form (:func:`adiabatic_transport`).  Outside a box of ordinary
     designs, where it provably passes (see schedules.in_box), the
-    integrator's coefficients are first checked finite at -L and 0-.  Every
+    integrator's generator is first built and checked at -L and 0-.  Every
     other cell mirrors a left-half run at tol / 16 (see _mirrored_i2) of the
     two-guide generator or of the array's (middle, bright) pair (see
     splitter.build_pair); inside the box that run checks no coefficient.
@@ -180,6 +183,7 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     :func:`threshold_length` check theirs once and score cells alike.
     """
     _check_metric(metric, splitter_mode)
+    sta = check_sta(sta)
     _check_tol(tol)
     total_length = check_finite("total_length", total_length, 0.0)  # as given, not as its half
     half = _half_length(total_length)
@@ -255,6 +259,7 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     _half_length(lo_range)
     omega0 = check_finite("omega0", omega0, 0.0)
     delta0 = check_finite("delta0", delta0, 0.0)
+    sta = check_sta(sta)
 
     def metric(length: float) -> float:
         return _cell("final_i2", sta, tol, "reduced_cd", omega0, delta0, _half_length(length))

@@ -28,7 +28,6 @@ def used_names(tree: ast.Module) -> set[str]:
 
 # (importing module, module imported from, name)
 PRIVATE_IMPORTS = [
-    ("sweep", "propagation", "_check_coefficients"),
     ("sweep", "propagation", "_check_tol"),
 ]
 

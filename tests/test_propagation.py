@@ -57,6 +57,18 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"steps must be >= 1, got {steps}"):
                 propagate_pwc(constant_h2(0, 1), UP, 0, 1, steps)
 
+    @pytest.mark.parametrize("steps", [2.5, math.nan, 10.0, "10", None])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError) as exc:
+            propagate_pwc(constant_h2(0, 1), UP, -12.5, 12.5, steps)
+        assert str(exc.value) == f"steps must be an integer, got {steps!r}"
+
+    def test_numpy_integer_steps_accepted(self):
+        h = constant_h2(0.1, 1.0)
+        a = propagate_pwc(h, UP, -12.5, 12.5, np.int64(10))
+        b = propagate_pwc(h, UP, -12.5, 12.5, 10)
+        assert a.states.tobytes() == b.states.tobytes() and a.stats["steps"] == 10
+
     def test_tol_range(self):
         for tol in (1e-13, 1e-3, "1e-8", None):
             with pytest.raises(ValueError, match=r"tol must lie in \[1e-12, 1e-4\], got"):
@@ -343,6 +355,22 @@ class TestAnalyticOracles:
         assert abs(traj.final_state[0] - math.cos(omega)) < 1e-14
         assert abs(traj.final_state[1] + 1j * math.sin(omega)) < 1e-14
 
+    def test_pwc_cell_is_the_analytic_exponential(self):
+        # one cell of the constant t I + H0, H0 = x sx + y sy + z sz, is
+        # exp(-i t dz) (cos(w dz) I - i sin(w dz) / w H0) with w = |(x, y, z)|
+        rng = np.random.default_rng(33)
+        draws = [*rng.uniform(-3.0, 3.0, size=(40, 4)).tolist(), [0.7, 0.0, 0.0, 0.0]]
+        for f, dz in zip(draws, rng.uniform(0.05, 2.0, size=len(draws)).tolist()):
+            h = HamiltonianSpec((np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_Z), lambda z, side, f=f: f)
+            t, x, y, z = f
+            w = math.sqrt(x * x + y * y + z * z)
+            sinc = math.sin(w * dz) / w if w else dz  # its limit as w -> 0
+            h0 = x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z
+            u = np.exp(-1j * t * dz) * (math.cos(w * dz) * np.eye(2) - 1j * sinc * h0)
+            for k, c0 in enumerate(np.eye(2, dtype=complex)):
+                final = propagate_pwc(h, c0, 0.0, dz, 1).final_state
+                assert np.max(np.abs(final - u[:, k])) <= 1e-13, (f, dz)
+
     def test_three_level_oracle(self):
         # symmetric 3-guide resonant coupling: exact solution via the
         # bright/dark reduction with coupling sqrt(2)*w
@@ -377,7 +405,6 @@ class TestBackendCrossValidation:
     @pytest.mark.parametrize("sta, mode", [(True, "reduced_cd"), (True, "direct"),
                                            (False, "direct")], ids=["reduced_cd", "direct", "raw"])
     def test_richardson_on_splitter(self, sta, mode):
-        # 3x3 cells take the eigh branch of the cell unitary
         h = build_h3(SplitterParams(ModelParams(1.5, 0.1, 12.5, sta=sta), mode))
         c0 = np.array([0, 1, 0], dtype=complex)
         ref = propagate_adaptive(h, c0, -12.5, 12.5, 1e-12).final_state

@@ -109,6 +109,28 @@ class TestValidation:
             SweepSpec(axis_x=AxisSpec("omega0", 0, 1, 2), axis_y=AxisSpec("delta0", 0, 1, 2),
                       fixed={"total_length": value})
 
+    @pytest.mark.parametrize("sta", ["False", "no", None, 1, 0.0, np.array([True])],
+                             ids=["False-string", "no", "None", "1", "0.0", "array"])
+    def test_sta_must_be_a_bool(self, sta):
+        # checked at every boundary that takes it, not run as its truth value
+        match = re.escape(f"sta must be a bool, got {sta!r}")
+        axes = (AxisSpec("omega0", 0.5, 1.0, 2), AxisSpec("delta0", 0.1, 0.2, 2))
+        for call in (partial(ModelParams, 1.5, 0.1, 12.5, sta=sta),
+                     partial(metric_value, "final_i2", sta, 1.5, 0.1, 25.0),
+                     partial(SweepSpec, *axes, {"total_length": 25.0}, sta=sta),
+                     partial(threshold_length, 5.0, 1.0, sta, 0.9)):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    @pytest.mark.parametrize("sta", [np.True_, np.False_])
+    def test_numpy_bool_sta_stored_as_bool(self, sta):
+        axes = (AxisSpec("omega0", 0.5, 1.0, 2), AxisSpec("delta0", 0.1, 0.2, 2))
+        for stored in (ModelParams(1.5, 0.1, 12.5, sta=sta).sta,
+                       SweepSpec(*axes, {"total_length": 25.0}, sta=sta).sta):
+            assert type(stored) is bool and stored is bool(sta)
+        assert (metric_value("final_i2", sta, 1.5, 0.1, 25.0)
+                == metric_value("final_i2", bool(sta), 1.5, 0.1, 25.0))
+
     @pytest.mark.parametrize("sta", [True, False])
     def test_total_length_half_underflows(self, sta):
         # 5e-324 is positive, but the half a ModelParams receives is 0.0:
@@ -477,17 +499,21 @@ class TestClosedFormGuard:
             metric_value(metric, True, 1e-320, 1e-320, 10.0)
 
     def test_builds_no_generator(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("a closed-form cell built a generator")
-
-        monkeypatch.setattr(HamiltonianSpec, "__post_init__", refuse)
+        # inside the box a cell builds no generator; outside it, the guard is
+        # the generator's own check, so each cell builds exactly one
+        built = []
+        post_init = HamiltonianSpec.__post_init__
+        monkeypatch.setattr(HamiltonianSpec, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
         for design in DESIGNS[:3]:
             omega0, delta0, total = design
             assert (metric_value("final_i2", True, *design)
                     == adiabatic_transport(omega0, delta0, total / 2.0)[1])
             assert metric_value("splitting_infidelity", True, *design) == _reduced_cd_infidelity(*design)
+        assert built == []
         for metric in ("final_i2", "splitting_infidelity"):
             self.test_integrator_messages(metric)
+        assert len(built) == 4
 
     @pytest.mark.parametrize("metric", ["final_i2", "splitting_infidelity"])
     def test_phase_bound(self, metric):
@@ -553,16 +579,17 @@ class TestGuardBox:
         # as floats, which lie in the box, and scores them as their floats
         designs = [(np.float32(1e-30), np.float32(1e-30), 10.0), (1.0, 0.1, np.float32(1e-30))]
         wide = [metric_value(metric, True, *map(float, design)) for design in designs]
-        monkeypatch.setattr(sweep, "_check_coefficients", None)  # the guard's check
+        built = []  # the guard builds the generator whose check it runs
+        monkeypatch.setattr(sweep, "build_h2", lambda p: built.append(p) or build_h2(p))
         narrow = [metric_value(metric, True, *design) for design in designs]
+        assert built == []
         assert np.array(narrow).tobytes() == np.array(wide).tobytes()
 
     @pytest.mark.parametrize("metric", ["final_i2", "splitting_infidelity"])
     def test_sweep_checks_once(self, monkeypatch, metric):
         # one 12 x 2 tile of closed-form cells inside the box, omega0 = 0 column
         # included: only the spec's checks run, and no guard
-        calls = dict.fromkeys(["check_finite", "_check_metric", "_check_tol", "sta_schedule",
-                               "_check_coefficients"], 0)
+        calls = dict.fromkeys(["check_finite", "_check_metric", "_check_tol", "build_h2"], 0)
 
         def counted(name, function):
             def count(*args, **kwargs):
@@ -575,8 +602,7 @@ class TestGuardBox:
         spec = SweepSpec(AxisSpec("omega0", 0.0, 5.5, 12), AxisSpec("delta0", 0.2, 1.0, 2),
                          {"total_length": 10.0}, metric=metric, tol=1e-6)
         grid = run_sweep(spec).grid
-        assert calls == {"check_finite": 5, "_check_metric": 1, "_check_tol": 1,
-                         "sta_schedule": 0, "_check_coefficients": 0}
+        assert calls == {"check_finite": 5, "_check_metric": 1, "_check_tol": 1, "build_h2": 0}
         monkeypatch.undo()
         assert grid.tobytes() == cell_loop(spec).tobytes()
 
@@ -601,8 +627,7 @@ class TestGuardBox:
             monkeypatch.setattr(module, name, count)
 
         for module, name in [(coupler, "drive"), (schedules, "_check_position"),
-                             (propagation, "_check_coefficients"),
-                             (sweep, "_check_coefficients")]:
+                             (propagation, "_check_coefficients")]:
             counted(module, name)
         delta0 = AxisSpec("delta0", 0.2, 1.0, 2) if inside else AxisSpec("delta0", 1e-70, 1e-60, 2)
         spec = SweepSpec(AxisSpec("omega0", 0.0, 5.5, 12), delta0, {"total_length": 10.0},
@@ -774,6 +799,27 @@ class TestThreshold:
         # somewhere, consistent with 0.01 mm resolution on a first crossing
         assert res.achieved_metric >= 0.99
         assert probe < 0.99 or res.total_length <= 0.02
+
+    @pytest.mark.parametrize("k", [0.3, 3.0])
+    def test_scales_with_the_design(self, k):
+        # the transfer depends on (omega0 L, delta0 L) only, so over a range
+        # scaled by 1 / k the threshold scales by 1 / k, to the 0.01 mm resolution
+        base = threshold_length(5.0, 1.0, False, 0.99, tol=1e-8).total_length
+        scaled = threshold_length(5.0 * k, 1.0 * k, False, 0.99, (0.0, 2.0 / k), tol=1e-8)
+        assert abs(scaled.total_length - base / k) <= 0.01
+
+    def test_scaled_threshold_reaches_the_target(self):
+        # at k = 100 the scaled length 0.012071 mm reaches the target
+        base = threshold_length(5.0, 1.0, False, 0.99, tol=1e-8).total_length
+        assert metric_value("final_i2", False, 500.0, 100.0, base / 100.0, 1e-8) >= 0.99
+
+    @pytest.mark.xfail(strict=True, reason="open defect: over the fixed [0, 2] mm range the "
+                       "100-point scan is coarser than the transfer's oscillation at k = 100 "
+                       "and answers 0.06566 mm, not 0.012071 mm (ROADMAP item 15)")
+    def test_scales_on_the_default_range(self):
+        base = threshold_length(5.0, 1.0, False, 0.99, tol=1e-8).total_length
+        scaled = threshold_length(500.0, 100.0, False, 0.99, tol=1e-8)
+        assert abs(scaled.total_length - base / 100.0) <= 0.01
 
     def test_unreachable_raises(self):
         with pytest.raises(TargetNotReached) as exc:
