@@ -250,8 +250,6 @@ def _cmd_sweep(args) -> int:
             raise ValueError(f"{flag} must fix the unswept parameter")
         else:
             fixed[name] = value
-    if args.fmt == "csv" and args.output == "-":
-        raise ValueError("sweep CSV output requires --output PATH")
     mode = _mode(args, args.metric == "splitting_infidelity" and args.sta,
                  "--metric splitting_infidelity and --sta")
     spec = SweepSpec(axis_x=args.axis_x, axis_y=args.axis_y, fixed=fixed,

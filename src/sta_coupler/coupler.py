@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import operator
 from functools import partial
 
 import numpy as np
 
 from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
-from .schedules import ModelParams, drive, schedule_grid, segment_rates
+from .schedules import ModelParams, check_int, drive, schedule_grid, segment_rates
 
 __all__ = ["build_h2", "simulate", "adiabatic_projection"]
 
@@ -36,11 +35,7 @@ def build_h2(p: ModelParams) -> HamiltonianSpec:
 
 def simulate(p: ModelParams, input_guide: int = 1, tol: float = 1e-10) -> Trajectory:
     """Propagate light injected in one guide across the whole device."""
-    try:
-        operator.index(input_guide)
-    except TypeError:
-        raise ValueError(f"input_guide must be an integer, got {input_guide!r}") from None
-    if input_guide not in (1, 2):
+    if check_int("input_guide", input_guide) not in (1, 2):
         raise ValueError(f"input_guide must be 1 or 2, got {input_guide}")
     c0 = np.zeros(2, dtype=complex)
     c0[input_guide - 1] = 1.0

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .schedules import check_int, check_tol
 
 __all__ = [
     "HamiltonianSpec",
@@ -196,15 +197,6 @@ def _fused(rates: tuple[float, float, float], rows: list) -> Callable[[float, li
         return [0j + d00 * y0 + w * m01 * y1, 0j + w * m10 * y0 + d11 * y1]
 
     return fused
-
-
-def _check_tol(tol: float) -> None:
-    try:
-        valid = 1e-12 <= tol <= 1e-4
-    except TypeError:  # not a number: a string, None, a list
-        valid = False
-    if not valid:
-        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol!r}")
 
 
 # Dormand-Prince 8(5,3) tableau as published with DOP853 (Hairer, Norsett &
@@ -404,7 +396,7 @@ def _dop853(fun: Callable[[float, list], list], a: float, b: float,
 def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
                        z_to: float, tol: float = 1e-10) -> Trajectory:
     """Adaptive RK integration of i dc/dz = H(z) c, split at the sign flip."""
-    _check_tol(tol)
+    check_tol(tol)
     c = _check_initial_state(c0, h.dim)
 
     zs: list[np.ndarray] = []
@@ -435,12 +427,7 @@ def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
 
 
 def _allocate_steps(segments: list[tuple[float, float]], steps: int) -> list[int]:
-    try:
-        operator.index(steps)
-    except TypeError:
-        raise ValueError(f"steps must be an integer, got {steps!r}") from None
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = check_int("steps", steps, 1)
     if steps < len(segments):
         raise ValueError(
             f"grid not alignable: a cell boundary must fall on the sign flip "

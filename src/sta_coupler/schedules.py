@@ -64,6 +64,37 @@ def check_sta(sta) -> bool:
     return bool(sta)
 
 
+def check_int(name: str, value, minimum: int | None = None) -> int:
+    """value as the Python int its __index__ gives; ValueError naming the
+    field unless value is an integer of at least minimum."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return number
+
+
+def check_tol(tol) -> None:
+    """ValueError naming tol unless it lies in [1e-12, 1e-4], the integrators' range."""
+    try:
+        valid = 1e-12 <= tol <= 1e-4
+    except TypeError:  # not a number: a string, None, a list
+        valid = False
+    if not valid:
+        raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol!r}")
+
+
+def uniform_grid(lo: float, hi: float, count: int) -> np.ndarray:
+    """count evenly spaced floats from lo to hi."""
+    # near the float maximum, linspace overflows computing its last sample
+    # and then overwrites it with hi, so the grid it returns is right as
+    # long as hi - lo is finite
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, count)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical design point of the coupler, its three numbers stored as
@@ -309,16 +340,7 @@ def schedule_grid(p: ModelParams, zs: np.ndarray) -> SchedulePoint:
 
 def device_grid(p: ModelParams, samples: int) -> np.ndarray:
     """samples evenly spaced positions over the device [-L, L]."""
-    try:
-        operator.index(samples)
-    except TypeError:
-        raise ValueError(f"samples must be an integer, got {samples!r}") from None
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
-    # at 2L near the float maximum, linspace overflows computing its last
-    # sample and then overwrites it with L, so the grid it returns is right
-    with np.errstate(over="ignore"):
-        return np.linspace(-p.half_length, p.half_length, samples)
+    return uniform_grid(-p.half_length, p.half_length, check_int("samples", samples, 2))
 
 
 def diagnostics(p: ModelParams, samples: int) -> Diagnostics:

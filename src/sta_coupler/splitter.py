@@ -37,6 +37,8 @@ class SplitterParams:
     mode: str = "reduced_cd"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.base, ModelParams):
+            raise ValueError(f"base must be a ModelParams, got {self.base!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import operator
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .coupler import build_h2
-from .propagation import HamiltonianSpec, _check_tol, propagate_adaptive
-from .schedules import ModelParams, adiabatic_transport, check_finite, check_sta, in_box
+from .propagation import HamiltonianSpec, propagate_adaptive
+from .schedules import (ModelParams, adiabatic_transport, check_finite, check_int, check_sta,
+                        check_tol, in_box, uniform_grid)
 from .splitter import MODES, SplitterParams, build_pair, reduced_rates
 
 __all__ = [
@@ -54,21 +56,13 @@ class AxisSpec:
         for bound in ("lo", "hi"):
             value = check_finite(f"axis {bound}", getattr(self, bound), 0.0)
             object.__setattr__(self, bound, value)
-        try:
-            operator.index(self.count)
-        except TypeError:
-            raise ValueError(f"axis count must be an integer, got {self.count!r}") from None
-        if self.count < 2:
-            raise ValueError(f"axis count must be >= 2, got {self.count}")
+        object.__setattr__(self, "count", check_int("axis count", self.count, 2))
         if not self.lo < self.hi:
             raise ValueError(f"axis needs lo < hi, got [{self.lo}, {self.hi}]")
 
     @property
     def values(self) -> np.ndarray:
-        # as in schedules.device_grid: near the float maximum, linspace
-        # overflows only in its last sample, which it then sets to hi
-        with np.errstate(over="ignore"):
-            return np.linspace(self.lo, self.hi, self.count)
+        return uniform_grid(self.lo, self.hi, self.count)
 
 
 @dataclass(frozen=True)
@@ -86,12 +80,14 @@ class SweepSpec:
             raise ValueError("the two sweep axes must differ")
         _check_metric(self.metric, self.splitter_mode)
         remaining = set(PARAMETERS) - {self.axis_x.name, self.axis_y.name}
+        if not isinstance(self.fixed, Mapping):
+            raise ValueError(f"fixed must be a mapping, got {self.fixed!r}")
         if set(self.fixed) != remaining:
             raise ValueError(f"fixed must provide exactly {sorted(remaining)}")
         object.__setattr__(self, "fixed", {name: check_finite(name, value, 0.0)
                                            for name, value in self.fixed.items()})
         object.__setattr__(self, "sta", check_sta(self.sta))
-        _check_tol(self.tol)
+        check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -184,7 +180,7 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     """
     _check_metric(metric, splitter_mode)
     sta = check_sta(sta)
-    _check_tol(tol)
+    check_tol(tol)
     total_length = check_finite("total_length", total_length, 0.0)  # as given, not as its half
     half = _half_length(total_length)
     omega0 = check_finite("omega0", omega0, 0.0)  # as ModelParams checks them
@@ -203,9 +199,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     workers is deprecated and ignored: the cells are GIL-bound Python, so a
     thread pool never sped them up, and they always run serially.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
+    if check_int("workers", workers, 1) > 1:
         warnings.warn("run_sweep evaluates its cells serially; workers is "
                       "deprecated and ignored", DeprecationWarning, stacklevel=2)
     xs, ys = spec.axis_x.values, spec.axis_y.values
@@ -246,7 +240,7 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     check_finite("target", target)
     if not 0.0 < target < 1.0:
         raise ValueError(f"target must lie in (0, 1), got {target}")
-    _check_tol(tol)
+    check_tol(tol)
     try:
         lo_range, hi_range = length_range
     except (TypeError, ValueError):  # not iterable, or not two items
@@ -264,7 +258,7 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     def metric(length: float) -> float:
         return _cell("final_i2", sta, tol, "reduced_cd", omega0, delta0, _half_length(length))
 
-    lengths = np.linspace(lo_range, hi_range, _COARSE_POINTS)
+    lengths = uniform_grid(lo_range, hi_range, _COARSE_POINTS)
     missed = []
     for length in lengths:
         achieved = metric(float(length))

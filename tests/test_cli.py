@@ -153,10 +153,13 @@ class TestSweep:
     ARGS = ["sweep", "--axis-x", "omega0:0.5:2:3", "--axis-y",
             "total_length:5:25:2", "--delta0", "0.1", "--sta", "--tol", "1e-6"]
 
-    def test_csv_requires_path(self, capsys):
-        code, _, err = run(capsys, *self.ARGS)
-        assert code == EXIT_USAGE
-        assert "output" in err
+    def test_csv_stdout_equals_file(self, tmp_path, capsys):
+        # the default --output - writes the grid to stdout, as every writer does
+        path = tmp_path / "grid.csv"
+        code, out, _ = run(capsys, *self.ARGS)
+        assert code == EXIT_OK
+        assert run(capsys, *self.ARGS, "--output", str(path))[0] == EXIT_OK
+        assert out.encode() == path.read_bytes()
 
     def test_csv_grid(self, tmp_path, capsys):
         path = tmp_path / "grid.csv"

@@ -84,6 +84,11 @@ class TestSimulate:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             simulate(FIG3_STA, input_guide=guide)
 
+    def test_numpy_integer_input_guide(self):
+        for guide in (1, 2):
+            a, b = simulate(FIG3_STA, input_guide=np.int64(guide)), simulate(FIG3_STA, guide)
+            assert a.states.tobytes() == b.states.tobytes()
+
     def test_trajectory_conserves_norm(self):
         r = simulate(FIG3_STA, tol=1e-11)
         assert r.norm_drift < 1e-9

@@ -27,9 +27,7 @@ def used_names(tree: ast.Module) -> set[str]:
 
 
 # (importing module, module imported from, name)
-PRIVATE_IMPORTS = [
-    ("sweep", "propagation", "_check_tol"),
-]
+PRIVATE_IMPORTS = []
 
 
 def private_imports(path: Path) -> list[tuple[str, str, str]]:

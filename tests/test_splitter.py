@@ -53,6 +53,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SplitterParams(BASE, mode="bogus")
 
+    @pytest.mark.parametrize("base", ["x", None, (1.5, 0.1, 12.5)], ids=["str", "None", "tuple"])
+    def test_base_must_be_model_params(self, base):
+        # named on construction, not an AttributeError when design is read
+        with pytest.raises(ValueError, match="^base must be a ModelParams, got "):
+            SplitterParams(base, "direct")
+
     def test_h3_structure(self):
         m = build_h3(SplitterParams(BASE_RAW)).matrix(-1.0)
         assert m[0, 0] == 0.0 and m[2, 2] == 0.0

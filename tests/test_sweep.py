@@ -156,6 +156,14 @@ class TestValidation:
                       axis_y=AxisSpec("delta0", 0, 1, 2),
                       fixed={})
 
+    @pytest.mark.parametrize("fixed", [None, 5, ["total_length"], {"total_length"}],
+                             ids=["None", "int", "list", "set"])
+    def test_fixed_must_be_a_mapping(self, fixed):
+        # named here, not a TypeError or AttributeError from its items
+        message = f"fixed must be a mapping, got {fixed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SweepSpec(AxisSpec("omega0", 0, 1, 2), AxisSpec("delta0", 0, 1, 2), fixed)
+
     def test_metric_name(self):
         with pytest.raises(ValueError):
             small_spec(metric="bogus")
@@ -589,7 +597,7 @@ class TestGuardBox:
     def test_sweep_checks_once(self, monkeypatch, metric):
         # one 12 x 2 tile of closed-form cells inside the box, omega0 = 0 column
         # included: only the spec's checks run, and no guard
-        calls = dict.fromkeys(["check_finite", "_check_metric", "_check_tol", "build_h2"], 0)
+        calls = dict.fromkeys(["check_finite", "_check_metric", "check_tol", "build_h2"], 0)
 
         def counted(name, function):
             def count(*args, **kwargs):
@@ -602,7 +610,7 @@ class TestGuardBox:
         spec = SweepSpec(AxisSpec("omega0", 0.0, 5.5, 12), AxisSpec("delta0", 0.2, 1.0, 2),
                          {"total_length": 10.0}, metric=metric, tol=1e-6)
         grid = run_sweep(spec).grid
-        assert calls == {"check_finite": 5, "_check_metric": 1, "_check_tol": 1, "build_h2": 0}
+        assert calls == {"check_finite": 5, "_check_metric": 1, "check_tol": 1, "build_h2": 0}
         monkeypatch.undo()
         assert grid.tobytes() == cell_loop(spec).tobytes()
 
@@ -759,6 +767,17 @@ class TestRunSweep:
     def test_workers_must_be_positive(self, workers):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_sweep(small_spec(), workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.5, "2", None, math.nan])
+    def test_workers_must_be_integer(self, workers):
+        # named here, not a TypeError from the comparison, nor accepted
+        message = f"workers must be an integer, got {workers!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_sweep(small_spec(), workers=workers)
+
+    def test_numpy_integer_workers(self):
+        spec = small_spec()
+        assert run_sweep(spec, workers=np.int64(1)).grid.tobytes() == run_sweep(spec).grid.tobytes()
 
     def test_provenance(self):
         # the spec holds every other fact about the sweep
