@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 
-from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
+from .propagation import HamiltonianSpec, Trajectory, mirrored_run
 from .schedules import ModelParams, check_int, drive, schedule_grid, segment_rates
 
 __all__ = ["build_h2", "simulate", "adiabatic_projection"]
@@ -34,12 +34,12 @@ def build_h2(p: ModelParams) -> HamiltonianSpec:
 
 
 def simulate(p: ModelParams, input_guide: int = 1, tol: float = 1e-10) -> Trajectory:
-    """Propagate light injected in one guide across the whole device."""
+    """Propagate light injected in one guide across the device (see propagation.mirrored_run)."""
     if check_int("input_guide", input_guide) not in (1, 2):
         raise ValueError(f"input_guide must be 1 or 2, got {input_guide}")
     c0 = np.zeros(2, dtype=complex)
     c0[input_guide - 1] = 1.0
-    return propagate_adaptive(build_h2(p), c0, -p.half_length, p.half_length, tol)
+    return mirrored_run(build_h2(p), c0, p.half_length, tol)
 
 
 def adiabatic_projection(p: ModelParams, traj: Trajectory) -> np.ndarray:

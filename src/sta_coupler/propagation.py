@@ -426,6 +426,37 @@ def propagate_adaptive(h: HamiltonianSpec, c0: np.ndarray, z_from: float,
     )
 
 
+def left_half(h: HamiltonianSpec, half_length: float, tol: float) -> Trajectory:
+    """Guide-1 input's run of h over [-L, 0] at a sixteenth of tol, which
+    meets tol over a seeded design set once mirrored, or at the floor 1e-12."""
+    return propagate_adaptive(h, (1.0, 0.0), -half_length, 0.0, max(tol / 16, 1e-12))
+
+
+def mirrored_run(h: HamiltonianSpec, c0, half_length: float, tol: float) -> Trajectory:
+    """The run of a 2x2 h over [-L, L] from c0, from one left_half run.
+
+    The coupling is even in z and the mismatch odd, so sigma_x H(-z) sigma_x = H(z)
+    with H real, and U(z, 0) = sigma_x U(0, -z)^T sigma_x.  H traceless gives every
+    propagator the form [[a, -b*], [b, a*]], which that mirror maps to (a*, b).  The
+    left run gives the first column of U_L(z) = U(z, -L), and U(0, -z) = U_L(0)
+    U_L(z)^dagger; the second column serves guide 2.  The exact (a, b) has unit
+    norm, so each left row is divided by its computed norm, which removes the
+    integrator's norm drift, the larger part of its error; stats keeps that drift.
+    """
+    check_tol(tol)
+    left = left_half(h, half_length, tol)
+    y = left.states / np.linalg.norm(left.states, axis=1)[:, None]
+    (a, b), (a0, b0) = y[:-1].T, y[-1]
+    # first columns of U(0, -z) = U_L(0) U_L(z)^dagger, mirrored, times U_L(0)
+    p, q = (a0 * a.conj() + b0.conj() * b).conj(), b0 * a.conj() - a0.conj() * b
+    right = np.column_stack((p * a0 - q.conj() * b0, q * a0 + p.conj() * b0))[::-1]
+    u = np.concatenate((y, right))
+    states = c0[0] * u + c0[1] * np.column_stack((-u[:, 1].conj(), u[:, 0].conj()))
+    stats = {"nfev": left.stats["nfev"], "tol": tol, "norm_drift": left.norm_drift}
+    return Trajectory(np.concatenate((left.z, -left.z[-2::-1])), states,
+                      "adaptive-dop853-mirror", stats)
+
+
 def _allocate_steps(segments: list[tuple[float, float]], steps: int) -> list[int]:
     steps = check_int("steps", steps, 1)
     if steps < len(segments):

@@ -40,13 +40,14 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi  # the rate k times L, and the edge argument of sech
 _SINH_TWO_PI = math.sinh(_TWO_PI)
 _COSH_TWO_PI = math.cosh(_TWO_PI)
+_BOOLS = (bool, np.bool_)  # ints to math and operator.index, never a number here
 
 
 def check_finite(name: str, value, minimum: float = -math.inf) -> float:
     """value as a Python float, the arithmetic in_box's proof holds for; ValueError
-    naming the field unless value is a finite real number of at least minimum."""
+    naming the field unless value is a finite real non-bool of at least minimum."""
     try:
-        finite = math.isfinite(value)
+        finite = not isinstance(value, _BOOLS) and math.isfinite(value)
     except (TypeError, OverflowError):  # not a real number, or an int beyond float
         finite = False
     if not finite:
@@ -59,16 +60,16 @@ def check_finite(name: str, value, minimum: float = -math.inf) -> float:
 
 def check_sta(sta) -> bool:
     """sta as a Python bool; ValueError naming it unless it is a bool or np.bool_."""
-    if not isinstance(sta, (bool, np.bool_)):
+    if not isinstance(sta, _BOOLS):
         raise ValueError(f"sta must be a bool, got {sta!r}")
     return bool(sta)
 
 
 def check_int(name: str, value, minimum: int | None = None) -> int:
     """value as the Python int its __index__ gives; ValueError naming the
-    field unless value is an integer of at least minimum."""
+    field unless value is an integer of at least minimum, and not a bool."""
     try:
-        number = operator.index(value)
+        number = operator.index(None if isinstance(value, _BOOLS) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:
@@ -90,8 +91,11 @@ def uniform_grid(lo: float, hi: float, count: int) -> np.ndarray:
     """count evenly spaced floats from lo to hi."""
     # near the float maximum, linspace overflows computing its last sample
     # and then overwrites it with hi, so the grid it returns is right as
-    # long as hi - lo is finite
+    # long as hi - lo is finite, as it is for the bounds halved, whose grid
+    # doubled is the same grid: halving and doubling such floats are exact
     with np.errstate(over="ignore"):
+        if math.isinf(hi - lo):
+            return 2.0 * np.linspace(lo / 2.0, hi / 2.0, count)
         return np.linspace(lo, hi, count)
 
 

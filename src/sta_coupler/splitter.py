@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .coupler import build_h2, drive_spec
-from .propagation import HamiltonianSpec, Trajectory, propagate_adaptive
+from .propagation import HamiltonianSpec, Trajectory, mirrored_run
 from .schedules import ModelParams, drive
 
 __all__ = ["SplitterParams", "build_h3", "simulate_splitter"]
@@ -83,10 +83,10 @@ def build_pair(sp: SplitterParams) -> HamiltonianSpec:
 def simulate_splitter(sp: SplitterParams, tol: float = 1e-10) -> Trajectory:
     """Propagate middle-guide input; the outer guides should end at I1 = I3 = 1/2.
 
-    One run of the pair (see :func:`build_pair`), whose states (c_bright / sqrt(2),
+    One mirrored run of the pair (see :func:`build_pair` and
+    propagation.mirrored_run), whose states (c_bright / sqrt(2),
     c_middle, c_bright / sqrt(2)) are the array's amplitudes up to the common phase
     exp(-i int D / 2 dz): it leaves every intensity unchanged, and is 1 at +-L as D is odd."""
-    L = sp.base.half_length
-    run = propagate_adaptive(build_pair(sp), (1.0, 0.0), -L, L, tol)
+    run = mirrored_run(build_pair(sp), (1.0, 0.0), sp.base.half_length, tol)
     middle, outer = run.states.T * [[1.0], [math.sqrt(0.5)]]
     return replace(run, states=np.column_stack((outer, middle, outer)))

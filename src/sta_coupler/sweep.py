@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 
 from .coupler import build_h2
-from .propagation import HamiltonianSpec, propagate_adaptive
+from .propagation import HamiltonianSpec, left_half
 from .schedules import (ModelParams, adiabatic_transport, check_finite, check_int, check_sta,
                         check_tol, in_box, uniform_grid)
 from .splitter import MODES, SplitterParams, build_pair, reduced_rates
@@ -112,20 +112,10 @@ def _closed_form_applies(metric: str, sta: bool, splitter_mode: str) -> bool:
 
 
 def _mirrored_i2(h: HamiltonianSpec, half_length: float, tol: float) -> float:
-    """I2 of h over [-L, L] for guide-1 input, from one run over [-L, 0].
-
-    The coupling is even in z and the mismatch odd, so sigma_x H(-z) sigma_x
-    = H(z) with H real, and the right half's propagator is the left half's
-    mirror, U_R = sigma_x U_L^T sigma_x.  With U_L e1 = (a, b), H traceless
-    gives U_L = [[a, -b*], [b, a*]], so the final state is
-    (|a|^2 - |b|^2, 2ab) and I2 = 4 |a|^2 |b|^2.  The exact (a, b) has unit
-    norm; dividing by the computed norm removes the integrator's norm
-    drift, the larger part of its error.  The left half runs at tol / 16,
-    which meets tol over a seeded design set, or at the floor 1e-12.
-    """
-    left_tol = max(tol / 16, 1e-12)
-    state = propagate_adaptive(h, (1.0, 0.0), -half_length, 0.0, left_tol)
-    a, b = state.final_state.tolist()
+    """I2 of h over [-L, L] for guide-1 input: with (a, b) the left half's final
+    state, the mirror ends at (|a|^2 - |b|^2, 2ab) (see propagation.mirrored_run),
+    so I2 = 4 |a|^2 |b|^2, here with the norm divided out, as mirrored_run does."""
+    a, b = left_half(h, half_length, tol).final_state.tolist()
     pa, pb = abs(a) ** 2, abs(b) ** 2
     return 4.0 * pa * pb / (pa + pb) ** 2
 
@@ -172,8 +162,8 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     closed form (:func:`adiabatic_transport`).  Outside a box of ordinary
     designs, where it provably passes (see schedules.in_box), the
     integrator's generator is first built and checked at -L and 0-.  Every
-    other cell mirrors a left-half run at tol / 16 (see _mirrored_i2) of the
-    two-guide generator or of the array's (middle, bright) pair (see
+    other cell mirrors a left-half run (see _mirrored_i2) of the two-guide
+    generator or of the array's (middle, bright) pair (see
     splitter.build_pair); inside the box that run checks no coefficient.
     The arguments are checked here; :func:`run_sweep` and
     :func:`threshold_length` check theirs once and score cells alike.

@@ -64,4 +64,4 @@ def test_readme_python_use():
     # the values the block's comments state
     assert round(names["i2"], 6) == 0.998771
     assert round(names["infidelity"], 6) == 0.005867
-    assert names["pops"].shape == (len(names["traj"].z), 2) == (65, 2)
+    assert names["pops"].shape == (len(names["traj"].z), 2) == (87, 2)

@@ -10,6 +10,7 @@ from test_sweep import HALF_LENGTHS, LOG_DESIGNS, RATES, _bits
 from sta_coupler.schedules import (
     ModelParams,
     adiabatic_transport,
+    device_grid,
     diagnostics,
     drive,
     effective_schedule,
@@ -62,9 +63,10 @@ class TestRawSchedule:
             ModelParams(omega0=1.0, delta0=0.1, half_length=0.0)
 
     @pytest.mark.parametrize("field", ["omega0", "delta0", "half_length"])
-    @pytest.mark.parametrize("value", ["0", None, math.nan, math.inf])
+    @pytest.mark.parametrize("value", ["0", None, math.nan, math.inf, True, np.True_])
     def test_non_number_params_rejected(self, field, value):
-        # a ValueError naming the field, not a TypeError from math.isfinite
+        # a ValueError naming the field, not a TypeError from math.isfinite,
+        # nor a bool taken as 1, as check_sta rejects 1
         values = {"omega0": 1.0, "delta0": 0.1, "half_length": 1.0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
             ModelParams(**values)
@@ -326,6 +328,18 @@ class TestDiagnostics:
         with pytest.raises(ValueError, match=r"^samples must be an integer, got 10\.0$"):
             diagnostics(FIG2, 10.0)
         assert diagnostics(FIG2, np.int64(10)) == diagnostics(FIG2, 10)
+
+    def test_half_length_past_half_the_float_maximum(self):
+        # 2L overflows, and the grid is still finite and ordered from -L to L,
+        # with linspace's bits wherever those are finite
+        p = ModelParams(1.0, 0.1, 1e308)
+        assert device_grid(p, 5).tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]
+        assert diagnostics(p, 5).max_cd_ratio > 0.0
+        zs = device_grid(ModelParams(1.0, 0.1, 1.7976931348623157e308), 4)
+        assert np.all(np.isfinite(zs)) and np.all(np.diff(zs) > 0.0) and zs[-1] == -zs[0]
+        L = 8.98e307
+        zs = device_grid(ModelParams(1.0, 0.1, L), 7)
+        assert zs.tobytes() == np.linspace(-L, L, 7).tobytes()
 
     def test_edge_ratio_closed_form(self):
         # |omega_a|/|omega| peaks at the device edges where it approaches

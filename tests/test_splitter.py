@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sta_coupler import splitter
+from sta_coupler import propagation
+from sta_coupler.coupler import build_h2, simulate
 from sta_coupler.propagation import HamiltonianSpec, Trajectory, propagate_adaptive
 from sta_coupler.schedules import ModelParams, drive, effective_schedule
 from sta_coupler.splitter import SplitterParams, build_h3, build_pair, simulate_splitter
@@ -188,16 +189,16 @@ class TestSimulateSplitter:
     @pytest.mark.parametrize("sp", [SplitterParams(BASE_RAW), SplitterParams(BASE, "direct"),
                                     SplitterParams(BASE)], ids=["raw", "direct", "reduced_cd"])
     def test_integrates_once(self, sp, monkeypatch):
-        # one run, of the (middle, bright) pair, never of the 3x3 array
-        dims = []
+        # one run, of the (middle, bright) pair's left half, never of the 3x3 array
+        runs = []
 
-        def counting(h, *args, **kwargs):
-            dims.append(h.dim)
-            return propagate_adaptive(h, *args, **kwargs)
+        def counting(h, c0, z_from, z_to, tol):
+            runs.append((h.dim, z_from, z_to))
+            return propagate_adaptive(h, c0, z_from, z_to, tol)
 
-        monkeypatch.setattr(splitter, "propagate_adaptive", counting)
+        monkeypatch.setattr(propagation, "propagate_adaptive", counting)
         simulate_splitter(sp, tol=1e-6)
-        assert dims == [2]
+        assert runs == [(2, -sp.base.half_length, 0.0)]
 
     def test_reference_reduced_cd_split(self):
         # frozen regression values
@@ -217,8 +218,9 @@ class TestSimulateSplitter:
         assert splitting_infidelity(sta) < splitting_infidelity(raw)
 
     def test_norm_conserved(self):
+        # the integrator's drift, before the mirror divides it out
         r = simulate_splitter(SplitterParams(BASE), tol=1e-10)
-        assert r.norm_drift < 1e-8
+        assert r.stats["norm_drift"] < 1e-8
 
     @pytest.mark.xfail(
         strict=True,
@@ -232,3 +234,36 @@ class TestSimulateSplitter:
         reduced = simulate_splitter(SplitterParams(BASE, "reduced_cd"), tol=1e-10)
         direct = simulate_splitter(SplitterParams(BASE, "direct"), tol=1e-10)
         assert splitting_infidelity(reduced) <= splitting_infidelity(direct)
+
+
+def pair_lift(state: np.ndarray) -> np.ndarray:
+    """The array's amplitudes (c_bright / sqrt(2), c_middle, c_bright / sqrt(2))
+    of a (middle, bright) pair state, as simulate_splitter lifts them."""
+    outer = state[1] * math.sqrt(0.5)
+    return np.array([outer, state[0], outer])
+
+
+@pytest.mark.parametrize("design, tol", [((1.5, 0.1, 25.0), 1e-6), ((30.0, 1.0, 10.0), 1e-6),
+                                         ((3.0, 0.2, 10.0), 1e-8)],
+                         ids=["reference", "long", "robust"])
+def test_rows_within_tol(design, tol):
+    # a row on each half, the sign flip and the end, of simulate (both
+    # guides, raw and STA) and of simulate_splitter (every mode), each
+    # within tol of a tight run to its z; at (30, 1, 10) whole-device runs
+    # at tol missed by 11.3 tol
+    omega0, delta0, total = design
+    rng = np.random.default_rng(37)
+    runs = []
+    for sta in (False, True):
+        p = ModelParams(omega0, delta0, total / 2.0, sta=sta)
+        for guide in (1, 2):
+            runs.append((simulate(p, guide, tol), build_h2(p), np.eye(2)[guide - 1], None))
+        for mode in ("direct", "reduced_cd") if sta else ("reduced_cd",):
+            sp = SplitterParams(p, mode)
+            runs.append((simulate_splitter(sp, tol), build_pair(sp), np.eye(2)[0], pair_lift))
+    for run, h, c0, lift in runs:
+        flip = int(np.flatnonzero(run.z == 0.0)[0])
+        for i in (rng.integers(1, flip), flip, rng.integers(flip + 1, len(run.z)), -1):
+            ref = propagate_adaptive(h, c0, run.z[0], float(run.z[i]), 1e-12).final_state
+            error = np.max(np.abs(run.states[i] - (ref if lift is None else lift(ref))))
+            assert error <= tol, (run.z[i], run.states.shape, error / tol)

@@ -375,21 +375,21 @@ class TestMetricValue:
                 metric_value(metric, sta, 1.7e308, 1.7e308, 10.0, tol=1e-6, splitter_mode=mode)
 
     def test_direct_cell_work(self, monkeypatch):
-        # the pair's left half costs fewer RHS calls than the whole array
-        nfev = []
+        # the cell and simulate_splitter run the same left half of the pair
+        runs = []
 
         def counting(*args, **kwargs):
             traj = propagate_adaptive(*args, **kwargs)
-            nfev.append(traj.stats["nfev"])
+            runs.append((args[2:], traj.stats["nfev"]))
             return traj
 
-        monkeypatch.setattr(sweep, "propagate_adaptive", counting)
+        monkeypatch.setattr(propagation, "propagate_adaptive", counting)
         metric_value("splitting_infidelity", True, 3.0, 0.2, 10.0, tol=1e-8,
                      splitter_mode="direct")
-        whole = simulate_splitter(SplitterParams(ModelParams(3.0, 0.2, 5.0, sta=True), "direct"),
+        split = simulate_splitter(SplitterParams(ModelParams(3.0, 0.2, 5.0, sta=True), "direct"),
                                   tol=1e-8)
-        assert len(nfev) == 1
-        assert nfev[0] < whole.stats["nfev"]
+        assert len(runs) == 2 and runs[0] == runs[1]
+        assert runs[0] == ((-5.0, 0.0, 1e-8 / 16), split.stats["nfev"])
 
     def test_degenerate_zero_coupling(self):
         assert metric_value("final_i2", True, 0.0, 0.1, 10.0) == 0.0
@@ -768,7 +768,7 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="workers must be >= 1"):
             run_sweep(small_spec(), workers=workers)
 
-    @pytest.mark.parametrize("workers", [2.5, "2", None, math.nan])
+    @pytest.mark.parametrize("workers", [2.5, "2", None, math.nan, True])
     def test_workers_must_be_integer(self, workers):
         # named here, not a TypeError from the comparison, nor accepted
         message = f"workers must be an integer, got {workers!r}"
