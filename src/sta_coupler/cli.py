@@ -16,15 +16,12 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from .coupler import simulate
-from .propagation import StiffnessError, Trajectory
-from .schedules import ModelParams, device_grid, diagnostics, schedule_grid
+# numpy and the integrating modules load only where a command integrates
+from .schedules import (MODES, ModelParams, StiffnessError, device_positions, diagnostics,
+                        schedule_rows)
 from .serialize import format_float, write_csv, write_json
-from .splitter import MODES, SplitterParams, simulate_splitter
 from .sweep import (METRICS, PARAMETERS, AxisSpec, SweepSpec, TargetNotReached,
-                    run_sweep, threshold_length)
+                    sweep_rows, threshold_length)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -201,21 +198,22 @@ def _inputs(args: argparse.Namespace) -> dict:
 
 def _cmd_profile(args) -> int:
     p = _model(args)
-    sp = schedule_grid(p, device_grid(p, args.samples))
+    rows = schedule_rows(p, device_positions(p, args.samples))
     _emit_rows(args, ("z", "omega", "delta", "omega_a", "omega_eff", "delta_eff"),
-               zip(sp.z, sp.omega, sp.delta, sp.omega_a, sp.omega_eff, sp.delta_eff))
+               ((q.z, q.omega, q.delta, q.omega_a, q.omega_eff, q.delta_eff) for q in rows))
     return EXIT_OK
 
 
-def _emit_trajectory(args, traj: Trajectory) -> int:
+def _emit_trajectory(args, traj) -> int:
     """Intensity trajectory as columns z, I1 .. In."""
     width = traj.intensities.shape[1]
     _emit_rows(args, ("z", *(f"I{k + 1}" for k in range(width))),
-               np.column_stack((traj.z, traj.intensities)))
+               ([z, *row] for z, row in zip(traj.z.tolist(), traj.intensities.tolist())))
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
+    from .coupler import simulate
     traj = simulate(_model(args), input_guide=args.input_guide, tol=args.tol)
     return _emit_trajectory(args, traj)
 
@@ -231,6 +229,7 @@ def _mode(args: argparse.Namespace, acts: bool, needs: str) -> str:
 
 
 def _cmd_splitter(args) -> int:
+    from .splitter import SplitterParams, simulate_splitter
     sp = SplitterParams(_model(args), _mode(args, args.sta, "--sta"))
     return _emit_trajectory(args, simulate_splitter(sp, tol=args.tol))
 
@@ -254,17 +253,15 @@ def _cmd_sweep(args) -> int:
                  "--metric splitting_infidelity and --sta")
     spec = SweepSpec(axis_x=args.axis_x, axis_y=args.axis_y, fixed=fixed,
                      metric=args.metric, sta=args.sta, tol=args.tol, splitter_mode=mode)
-    result = run_sweep(spec)
+    xs, ys, grid, backend = sweep_rows(spec)
     x, y = spec.axis_x.name, spec.axis_y.name
     if args.fmt == "csv":
         # header row: the x-axis samples; first column: the y-axis samples
-        header = [f"{y}\\{x}", *map(format_float, result.x_values)]
-        write_csv(args.output, header,
-                  ([v, *row] for v, row in zip(result.y_values, result.grid)))
+        header = [f"{y}\\{x}", *map(format_float, xs)]
+        write_csv(args.output, header, ([v, *row] for v, row in zip(ys, grid)))
     else:
-        payload = {"axes": {"x": {"name": x, "values": result.x_values.tolist()},
-                            "y": {"name": y, "values": result.y_values.tolist()}},
-                   "grid": result.grid.tolist(), "backend": result.backend}
+        payload = {"axes": {"x": {"name": x, "values": xs}, "y": {"name": y, "values": ys}},
+                   "grid": grid, "backend": backend}
         write_json(args.output, payload, _inputs(args))
     return EXIT_OK
 

@@ -20,7 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .schedules import check_int, check_tol
+# StiffnessError is defined in schedules, so that the CLI catches it without numpy
+from .schedules import StiffnessError, check_int, check_tol
 
 __all__ = [
     "HamiltonianSpec",
@@ -31,10 +32,6 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-14
-
-
-class StiffnessError(RuntimeError):
-    """Adaptive step size underflowed; the problem is effectively stiff."""
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -40,14 +42,24 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi  # the rate k times L, and the edge argument of sech
 _SINH_TWO_PI = math.sinh(_TWO_PI)
 _COSH_TWO_PI = math.cosh(_TWO_PI)
-_BOOLS = (bool, np.bool_)  # ints to math and operator.index, never a number here
+MODES = ("direct", "reduced_cd")  # the STA splitter constructions (see splitter)
+
+
+class StiffnessError(RuntimeError):
+    """Adaptive step size underflowed; the problem is effectively stiff."""
+
+
+def _is_bool(value) -> bool:
+    """Whether value is a bool or an np.bool_ (ints to math, never a number here),
+    looking numpy up, not importing it: no np.bool_ exists before numpy does."""
+    return isinstance(value, (bool, getattr(sys.modules.get("numpy"), "bool_", bool)))
 
 
 def check_finite(name: str, value, minimum: float = -math.inf) -> float:
     """value as a Python float, the arithmetic in_box's proof holds for; ValueError
     naming the field unless value is a finite real non-bool of at least minimum."""
     try:
-        finite = not isinstance(value, _BOOLS) and math.isfinite(value)
+        finite = not _is_bool(value) and math.isfinite(value)
     except (TypeError, OverflowError):  # not a real number, or an int beyond float
         finite = False
     if not finite:
@@ -60,7 +72,7 @@ def check_finite(name: str, value, minimum: float = -math.inf) -> float:
 
 def check_sta(sta) -> bool:
     """sta as a Python bool; ValueError naming it unless it is a bool or np.bool_."""
-    if not isinstance(sta, _BOOLS):
+    if not _is_bool(sta):
         raise ValueError(f"sta must be a bool, got {sta!r}")
     return bool(sta)
 
@@ -69,7 +81,7 @@ def check_int(name: str, value, minimum: int | None = None) -> int:
     """value as the Python int its __index__ gives; ValueError naming the
     field unless value is an integer of at least minimum, and not a bool."""
     try:
-        number = operator.index(None if isinstance(value, _BOOLS) else value)
+        number = operator.index(None if _is_bool(value) else value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:
@@ -87,16 +99,30 @@ def check_tol(tol) -> None:
         raise ValueError(f"tol must lie in [1e-12, 1e-4], got {tol!r}")
 
 
-def uniform_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    """count evenly spaced floats from lo to hi."""
-    # near the float maximum, linspace overflows computing its last sample
-    # and then overwrites it with hi, so the grid it returns is right as
-    # long as hi - lo is finite, as it is for the bounds halved, whose grid
-    # doubled is the same grid: halving and doubling such floats are exact
-    with np.errstate(over="ignore"):
-        if math.isinf(hi - lo):
-            return 2.0 * np.linspace(lo / 2.0, hi / 2.0, count)
-        return np.linspace(lo, hi, count)
+def check_half_length(value) -> float:
+    """value as check_finite gives it; ValueError naming L unless it is > 0."""
+    half_length = check_finite("half_length", value)
+    if not half_length > 0.0:
+        raise ValueError(f"half_length must be > 0, got {half_length}")
+    return half_length
+
+
+def uniform_grid(lo: float, hi: float, count: int) -> list[float]:
+    """count >= 2 evenly spaced floats from lo to hi, np.linspace's bit for bit: i * step
+    + lo, or (i / (count - 1)) * (hi - lo) + lo where the step underflows to 0, and hi
+    last.  The list is allocated whole first, so a count too large fails at once."""
+    try:
+        samples = [hi] * count
+    except (MemoryError, OverflowError):  # beyond memory, or beyond an index
+        raise MemoryError(f"Unable to allocate a grid of {count} samples") from None
+    # where hi - lo overflows, linspace gives nan samples; the grid of the bounds
+    # halved, doubled, is the grid it means (halving floats this large is exact)
+    scale = 2.0 if math.isinf(hi - lo) else 1.0
+    lo, delta, div = lo / scale, hi / scale - lo / scale, count - 1
+    step = delta / div
+    for i in range(div):
+        samples[i] = scale * ((i * step if step else i / div * delta) + lo)
+    return samples
 
 
 @dataclass(frozen=True)
@@ -119,9 +145,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "omega0", check_finite("omega0", self.omega0, 0.0))
         object.__setattr__(self, "delta0", check_finite("delta0", self.delta0, 0.0))
-        object.__setattr__(self, "half_length", check_finite("half_length", self.half_length))
-        if not self.half_length > 0.0:
-            raise ValueError(f"half_length must be > 0, got {self.half_length}")
+        object.__setattr__(self, "half_length", check_half_length(self.half_length))
         object.__setattr__(self, "sta", check_sta(self.sta))
 
     @property
@@ -241,8 +265,15 @@ def adiabatic_transport(omega0: float, delta_left: float,
     As in :func:`sta_schedule`, delta_left is the signed left-half mismatch.
     Phi's rounding error is about Phi * 2**-53 = Phi * 1.1e-16, so Phi above
     1e-4 / 2**-53 = 9.0e11 raises FloatingPointError: there the error would
-    pass 1e-4, the loosest tol the package accepts.
+    pass 1e-4, the loosest tol the package accepts.  The arguments are
+    checked as ModelParams checks a design, with delta_left signed.
     """
+    return sta_transport(check_finite("omega0", omega0, 0.0),
+                         check_finite("delta_left", delta_left), check_half_length(half_length))
+
+
+def sta_transport(omega0: float, delta_left: float, half_length: float) -> tuple[float, float]:
+    """adiabatic_transport on floats its caller has checked."""
     a, b = omega0, abs(delta_left)
     c = math.hypot(a, b)
     s = _SINH_TWO_PI
@@ -312,6 +343,14 @@ def in_box(omega0: float, delta0: float, half_length: float) -> bool:
             and (delta0 == 0.0 or _BOX_LO <= delta0 <= _BOX_HI))
 
 
+def reduced_rates(omega0: float, delta0: float) -> tuple[float, float]:
+    """(sqrt(2)*omega0, delta0/2), the STA reduced_cd array's (middle, bright) design."""
+    coupling = math.sqrt(2.0) * omega0
+    if math.isinf(coupling):  # a numerical failure, not a bad design
+        raise FloatingPointError(f"sqrt(2)*omega0 overflows: omega0={omega0}")
+    return coupling, 0.5 * delta0
+
+
 def segment_rates(p: ModelParams, a: float, b: float):
     """A raw design's drive(p) with no check, for propagation._rhs to fuse,
     on a segment [a, b] of the device on one side of the sign flip, where
@@ -325,39 +364,45 @@ def segment_rates(p: ModelParams, a: float, b: float):
     return omega0, _TWO_PI / L, delta0 if b <= 0.0 else -delta0
 
 
-def schedule_grid(p: ModelParams, zs: np.ndarray) -> SchedulePoint:
-    """Schedule points over positions zs, each field an array over zs.
+def schedule_rows(p: ModelParams, zs: list[float]) -> list[SchedulePoint]:
+    """effective_schedule at each of zs, z = 0 taking the left limit; ValueError names a
+    position outside the device, then FloatingPointError the first non-finite point's."""
+    points = [effective_schedule(p, z, -1) for z in zs]
+    for point in points:
+        if not all(map(math.isfinite, point)):
+            raise FloatingPointError(f"non-finite schedule at z={point.z}")
+    return points
 
-    Each sample is evaluated by :func:`effective_schedule`, and one exactly
-    at the sign flip z = 0 takes the left limit (side = -1).  A sample outside
-    the device raises ValueError naming it, and a non-finite field raises
-    FloatingPointError naming the first position where it occurs.
-    """
-    zs = np.asarray(zs, dtype=float)
-    points = [effective_schedule(p, z, -1) for z in zs.tolist()]
-    fields = np.array(points).reshape(-1, len(SchedulePoint._fields)).T
-    bad = ~np.isfinite(fields).all(axis=0)
-    if bad.any():
-        raise FloatingPointError(f"non-finite schedule at z={zs[bad][0]}")
-    return SchedulePoint(*fields)
+
+def schedule_grid(p: ModelParams, zs: np.ndarray) -> SchedulePoint:
+    """schedule_rows at positions zs, each field an array over zs."""
+    import numpy as np
+    points = schedule_rows(p, np.asarray(zs, dtype=float).tolist())
+    return SchedulePoint(*np.array(points).reshape(-1, len(SchedulePoint._fields)).T)
+
+
+def device_positions(p: ModelParams, samples: int) -> list[float]:
+    """samples evenly spaced positions over the device [-L, L] (see uniform_grid)."""
+    return uniform_grid(-p.half_length, p.half_length, check_int("samples", samples, 2))
 
 
 def device_grid(p: ModelParams, samples: int) -> np.ndarray:
-    """samples evenly spaced positions over the device [-L, L]."""
-    return uniform_grid(-p.half_length, p.half_length, check_int("samples", samples, 2))
+    """device_positions as an array."""
+    import numpy as np
+    return np.array(device_positions(p, samples))
 
 
 def diagnostics(p: ModelParams, samples: int) -> Diagnostics:
     """Grid maxima of |theta_dot/2| / sqrt(omega^2 + delta^2) and
-    |omega_a| / |omega| over [-L, L] (see :func:`schedule_grid`).
+    |omega_a| / |omega| over [-L, L] (see :func:`schedule_rows`).
 
     omega_a vanishes at z = 0 on both sides, so the side taken there
     cannot change either maximum.
     """
-    sp = schedule_grid(p, device_grid(p, samples))
-    omega_a, gap = np.abs(sp.omega_a), np.hypot(sp.omega, sp.delta)
-    max_ad = float(np.max(omega_a[gap > 0.0] / gap[gap > 0.0], initial=0.0))
-    max_cd = float(np.max(omega_a[sp.omega > 0.0] / sp.omega[sp.omega > 0.0], initial=0.0))
+    rows = schedule_rows(p, device_positions(p, samples))
+    max_ad = max((abs(q.omega_a) / math.hypot(q.omega, q.delta)
+                  for q in rows if q.omega or q.delta), default=0.0)  # where the gap is > 0
+    max_cd = max((abs(q.omega_a) / q.omega for q in rows if q.omega > 0.0), default=0.0)
     return Diagnostics(
         max_adiabaticity_ratio=max_ad,
         max_cd_ratio=max_cd,

@@ -19,11 +19,9 @@ import numpy as np
 
 from .coupler import build_h2, drive_spec
 from .propagation import HamiltonianSpec, Trajectory, mirrored_run
-from .schedules import ModelParams, drive
+from .schedules import MODES, ModelParams, drive, reduced_rates
 
 __all__ = ["SplitterParams", "build_h3", "simulate_splitter"]
-
-MODES = ("direct", "reduced_cd")
 
 # Constant terms of the generator [[0, W, 0], [W, D, W], [0, W, 0]]
 _OUTER_COUPLINGS = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -52,15 +50,6 @@ class SplitterParams:
         if not p.sta or self.mode == "direct":
             return p
         return ModelParams(*reduced_rates(p.omega0, p.delta0), p.half_length, sta=True)
-
-
-def reduced_rates(omega0: float, delta0: float) -> tuple[float, float]:
-    """Coupling sqrt(2)*omega0 and left-half mismatch delta0/2 of the STA
-    reduced_cd array's (middle, bright) system (see SplitterParams.design)."""
-    coupling = math.sqrt(2.0) * omega0
-    if math.isinf(coupling):  # a numerical failure, not a bad design
-        raise FloatingPointError(f"sqrt(2)*omega0 overflows: omega0={omega0}")
-    return coupling, 0.5 * delta0
 
 
 def build_h3(sp: SplitterParams) -> HamiltonianSpec:

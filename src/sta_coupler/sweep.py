@@ -7,14 +7,13 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .schedules import (MODES, ModelParams, check_finite, check_int, check_sta, check_tol,
+                        in_box, reduced_rates, sta_transport, uniform_grid)
 
-from .coupler import build_h2
-from .propagation import HamiltonianSpec, left_half
-from .schedules import (ModelParams, adiabatic_transport, check_finite, check_int, check_sta,
-                        check_tol, in_box, uniform_grid)
-from .splitter import MODES, SplitterParams, build_pair, reduced_rates
+if TYPE_CHECKING:  # numpy loads where an array is returned or a cell integrates
+    import numpy as np
 
 __all__ = [
     "AxisSpec",
@@ -62,7 +61,8 @@ class AxisSpec:
 
     @property
     def values(self) -> np.ndarray:
-        return uniform_grid(self.lo, self.hi, self.count)
+        import numpy as np
+        return np.array(uniform_grid(self.lo, self.hi, self.count))
 
 
 @dataclass(frozen=True)
@@ -111,10 +111,11 @@ def _closed_form_applies(metric: str, sta: bool, splitter_mode: str) -> bool:
     return sta and (metric == "final_i2" or splitter_mode == "reduced_cd")
 
 
-def _mirrored_i2(h: HamiltonianSpec, half_length: float, tol: float) -> float:
+def _mirrored_i2(h, half_length: float, tol: float) -> float:
     """I2 of h over [-L, L] for guide-1 input: with (a, b) the left half's final
     state, the mirror ends at (|a|^2 - |b|^2, 2ab) (see propagation.mirrored_run),
     so I2 = 4 |a|^2 |b|^2, here with the norm divided out, as mirrored_run does."""
+    from .propagation import left_half
     a, b = left_half(h, half_length, tol).final_state.tolist()
     pa, pb = abs(a) ** 2, abs(b) ** 2
     return 4.0 * pa * pb / (pa + pb) ** 2
@@ -138,12 +139,15 @@ def _cell(metric: str, sta: bool, tol: float, splitter_mode: str,
         if metric == "splitting_infidelity":  # SplitterParams.design, as floats
             omega0, delta0 = reduced_rates(omega0, delta0)
         if not in_box(omega0, delta0, half):  # in the box no coefficient can fail
+            from .coupler import build_h2
             # +L and 0+ mirror -L and 0-, D negated
             h = build_h2(ModelParams(omega0, delta0, half, sta=True))
             h.matrix(-half)
             h.matrix(0.0, -1)
-        transfer = adiabatic_transport(omega0, delta0, half)[1]
+        transfer = sta_transport(omega0, delta0, half)[1]
     else:
+        from .coupler import build_h2
+        from .splitter import SplitterParams, build_pair
         p = ModelParams(omega0=omega0, delta0=delta0, half_length=half, sta=sta)
         h = build_h2(p) if metric == "final_i2" else build_pair(SplitterParams(p, splitter_mode))
         transfer = _mirrored_i2(h, half, tol)
@@ -159,7 +163,7 @@ def metric_value(metric: str, sta: bool, omega0: float, delta0: float,
     reduce to identity propagation of the input state.
 
     STA final_i2 and STA reduced_cd splitting_infidelity are evaluated in
-    closed form (:func:`adiabatic_transport`).  Outside a box of ordinary
+    closed form (schedules.adiabatic_transport).  Outside a box of ordinary
     designs, where it provably passes (see schedules.in_box), the
     integrator's generator is first built and checked at -L and 0-.  Every
     other cell mirrors a left-half run (see _mirrored_i2) of the two-guide
@@ -192,10 +196,17 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     if check_int("workers", workers, 1) > 1:
         warnings.warn("run_sweep evaluates its cells serially; workers is "
                       "deprecated and ignored", DeprecationWarning, stacklevel=2)
-    xs, ys = spec.axis_x.values, spec.axis_y.values
+    import numpy as np
+    xs, ys, rows, backend = sweep_rows(spec)
+    return SweepResult(np.array(rows), np.array(xs), np.array(ys), backend)
+
+
+def sweep_rows(spec: SweepSpec) -> tuple[list[float], list[float], list[list[float]], str]:
+    """run_sweep's axis values, grid rows and backend, as lists of floats."""
+    xs, ys = (uniform_grid(a.lo, a.hi, a.count) for a in (spec.axis_x, spec.axis_y))
     (fixed_name, fixed_value), = spec.fixed.items()
     names = (spec.axis_x.name, spec.axis_y.name, fixed_name)
-    values = dict(zip(names, (xs.tolist(), ys.tolist(), [fixed_value])))
+    values = dict(zip(names, (xs, ys, [fixed_value])))
     # a length that fails to halve is preceded, in cell order, only by cells
     # of length 0, which raise nothing, so halving every length first fails
     # as the cell loop would
@@ -207,7 +218,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> SweepResult:
     rows = [[cell(*args((x, y, fixed))) for x in values[names[0]]] for y in values[names[1]]]
     closed_form = _closed_form_applies(spec.metric, spec.sta, spec.splitter_mode)
     backend = "adiabatic-closed-form" if closed_form else "adaptive-dop853-mirror"
-    return SweepResult(grid=np.array(rows), x_values=xs, y_values=ys, backend=backend)
+    return xs, ys, rows, backend
 
 
 @dataclass(frozen=True)
@@ -251,7 +262,7 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
     lengths = uniform_grid(lo_range, hi_range, _COARSE_POINTS)
     missed = []
     for length in lengths:
-        achieved = metric(float(length))
+        achieved = metric(length)
         if achieved >= target:
             break
         missed.append(achieved)
@@ -259,8 +270,8 @@ def threshold_length(omega0: float, delta0: float, sta: bool, target: float,
         raise TargetNotReached(target, max(missed))
 
     hit = len(missed)
-    lo = lo_range if hit == 0 else float(lengths[hit - 1])
-    hi = float(lengths[hit])
+    lo = lo_range if hit == 0 else lengths[hit - 1]
+    hi = lengths[hit]
     while hi - lo > 0.01:
         mid = 0.5 * (lo + hi)
         check_finite("total_length", mid, 0.0)  # two huge lengths overflow their sum

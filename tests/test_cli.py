@@ -320,6 +320,55 @@ class TestCheck:
         proc = run_python(script)
         assert proc.returncode == 0, proc.stderr
 
+    def test_closed_form_commands_do_not_import_numpy(self, tmp_path):
+        # numpy loads only where a run integrates: with numpy blocked, every
+        # command below exits and writes as a run with numpy does, byte for
+        # byte, and simulate then still imports it
+        sweep = ["sweep", "--axis-x", "omega0:0:5:4", "--axis-y", "delta0:0:5:4",
+                 "--total-length", "10", "--sta", "--tol", "1e-6"]
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text(json.dumps({"simulate": {"omega0": 1.5, "steps": 100}}))
+        commands = [
+            (["--help"], EXIT_OK),
+            (["profile", *MODEL, "--sta", "--samples", "50"], EXIT_OK),
+            (["profile", *MODEL, "--samples", "5", "--format", "json"], EXIT_OK),
+            (["check", *MODEL, "--sta"], EXIT_OK),
+            ([*sweep, "--format", "csv"], EXIT_OK),
+            ([*sweep, "--format", "json"], EXIT_OK),
+            (["threshold", "--omega0", "5", "--delta0", "1", "--sta", "--target", "0.9"], EXIT_OK),
+            (["threshold", "--omega0", "5", "--delta0", "1", "--sta", "--target", "0.99"],
+             EXIT_NUMERICAL),
+            (["simulate", "--config", str(bad_config)], EXIT_USAGE),
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "if BLOCK:\n"
+            "    sys.modules['numpy'] = None  # an import of numpy raises ImportError\n"
+            "from sta_coupler.cli import main\n"
+            "outputs = []\n"
+            f"for argv, code in {commands!r}:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        try:\n"
+            "            got = main(argv)\n"
+            "        except SystemExit as exc:  # --help\n"
+            "            got = exc.code\n"
+            "    assert got == code, (argv, got, err.getvalue())\n"
+            "    assert sys.modules.get('numpy') is None, ('numpy was imported', argv)\n"
+            "    outputs.append([out.getvalue(), err.getvalue()])\n"
+            "if not BLOCK:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert main(['simulate', *{MODEL!r}, '--sta']) == 0\n"
+            "    assert 'numpy' in sys.modules, 'simulate ran without numpy'\n"
+            "print(json.dumps(outputs))\n"
+        )
+        runs = [run_python(f"BLOCK = {block}\n" + script) for block in (True, False)]
+        for proc in runs:
+            assert proc.returncode == 0, proc.stderr
+        blocked, normal = (json.loads(proc.stdout) for proc in runs)
+        assert blocked == normal
+        assert all(out or err for out, err in blocked)
+
     def test_import_leaves_out_the_thread_pool(self):
         # sweeps run serially, whatever workers asks for, so neither the CLI
         # import, which every command pays for, nor a sweep loads a pool

@@ -1,9 +1,11 @@
 import itertools
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import adiabatic_oracle as oracle
 from test_sweep import HALF_LENGTHS, LOG_DESIGNS, RATES, _bits
@@ -15,6 +17,8 @@ from sta_coupler.schedules import (
     drive,
     effective_schedule,
     schedule_grid,
+    sta_transport,
+    uniform_grid,
 )
 
 FIG2 = ModelParams(omega0=1.5, delta0=0.1, half_length=12.5, sta=True)
@@ -311,6 +315,82 @@ class TestAdiabaticTransport:
         assert sum(adiabatic_transport(1.0, 0.0, 3.6e12)) == pytest.approx(1.0)  # Phi 8.979e11
         with pytest.raises(FloatingPointError, match="dynamic phase overflows its bound"):
             adiabatic_transport(1.0, 0.0, 3.62e12)  # Phi 9.028e11
+
+    # each value class of the boundary matrix in each slot of (0.5, 0.5, 0.5): FLOAT
+    # is the design of float(value), bit for bit, a name a ValueError naming that
+    # argument, and FloatingPointError a valid design whose phase overflows its bound
+    FLOAT = "float"
+    BOUNDARY_ROWS = [
+        (True, "omega0", "delta_left", "half_length"),
+        (np.float32(0.25), FLOAT, FLOAT, FLOAT),
+        (Fraction(1, 3), FLOAT, FLOAT, FLOAT),
+        (Decimal("0.3"), FLOAT, FLOAT, FLOAT),
+        ("0.5", "omega0", "delta_left", "half_length"),
+        (None, "omega0", "delta_left", "half_length"),
+        (math.nan, "omega0", "delta_left", "half_length"),
+        (math.inf, "omega0", "delta_left", "half_length"),
+        (-0.0, FLOAT, FLOAT, "half_length"),
+        (1e308, FloatingPointError, FloatingPointError, FloatingPointError),
+        (5e-324, FLOAT, FLOAT, FLOAT),
+        (0.5 + 0j, "omega0", "delta_left", "half_length"),
+        (np.array(0.25), FLOAT, FLOAT, FLOAT),
+        (np.array([0.25]), "omega0", "delta_left", "half_length"),
+        (np.int64(2), FLOAT, FLOAT, FLOAT),
+        (10 ** 400, "omega0", "delta_left", "half_length"),
+    ]
+
+    @pytest.mark.parametrize("row", BOUNDARY_ROWS, ids=[
+        "bool", "float32", "Fraction", "Decimal", "str", "None", "nan", "inf", "-0.0", "1e308",
+        "5e-324", "complex", "0-d array", "1-d array", "int64", "10**400"])
+    def test_boundary_rows(self, row):
+        value, *outcomes = row
+        for slot, outcome in enumerate(outcomes):
+            args = [0.5, 0.5, 0.5]
+            args[slot] = value
+            if outcome == self.FLOAT:
+                floats = [float(arg) for arg in args]
+                assert adiabatic_transport(*args) == sta_transport(*floats), (slot, value)
+            elif outcome is FloatingPointError:
+                with pytest.raises(FloatingPointError, match="dynamic phase overflows"):
+                    adiabatic_transport(*args)
+            else:
+                with pytest.raises(ValueError, match=rf"^{outcome} must be "):
+                    adiabatic_transport(*args)
+
+    def test_negative_mismatch_is_signed(self):
+        assert adiabatic_transport(0.5, -0.5, 0.5) == sta_transport(0.5, -0.5, 0.5)
+        with pytest.raises(ValueError, match=r"^omega0 must be >= 0, got -0\.5$"):
+            adiabatic_transport(-0.5, 0.5, 0.5)
+
+
+def linspace(lo, hi, count):
+    """np.linspace, or where hi - lo overflows, the grid of the bounds halved, doubled."""
+    with np.errstate(over="ignore"):
+        if math.isinf(hi - lo):
+            return 2.0 * np.linspace(lo / 2.0, hi / 2.0, count)
+        return np.linspace(lo, hi, count)
+
+
+class TestUniformGrid:
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(2, 300))
+    @example(0.0, 5e-324, 3)  # the step underflows to 0
+    @example(-5e-324, 5e-324, 300)
+    @example(0.0, 1e-320, 300)  # a subnormal step
+    @example(1.5, 1.5, 5)  # a zero span
+    @example(-0.0, 0.0, 4)
+    @example(-1.7976931348623157e308, 1.7976931348623157e308, 7)  # the span overflows
+    @example(1e308, -1e308, 4)
+    @example(-8.98e307, 8.98e307, 5)
+    def test_equals_linspace(self, lo, hi, count):
+        grid = uniform_grid(lo, hi, count)
+        assert all(type(z) is float for z in grid) and len(grid) == count
+        assert np.array(grid).tobytes() == linspace(lo, hi, count).tobytes()
+
+    def test_count_beyond_an_index(self):
+        # refused before any allocation, as a grid too large for memory is
+        with pytest.raises(MemoryError, match=r"^Unable to allocate a grid of 10{30} samples$"):
+            uniform_grid(0.0, 1.0, 10 ** 30)
 
 
 class TestDiagnostics:

@@ -587,8 +587,8 @@ class TestGuardBox:
         # as floats, which lie in the box, and scores them as their floats
         designs = [(np.float32(1e-30), np.float32(1e-30), 10.0), (1.0, 0.1, np.float32(1e-30))]
         wide = [metric_value(metric, True, *map(float, design)) for design in designs]
-        built = []  # the guard builds the generator whose check it runs
-        monkeypatch.setattr(sweep, "build_h2", lambda p: built.append(p) or build_h2(p))
+        built = []  # the guard builds the generator whose check it runs, from coupler
+        monkeypatch.setattr(coupler, "build_h2", lambda p: built.append(p) or build_h2(p))
         narrow = [metric_value(metric, True, *design) for design in designs]
         assert built == []
         assert np.array(narrow).tobytes() == np.array(wide).tobytes()
@@ -605,8 +605,9 @@ class TestGuardBox:
                 return function(*args, **kwargs)
             return count
 
-        for name in calls:
-            monkeypatch.setattr(sweep, name, counted(name, getattr(sweep, name)))
+        for name in calls:  # sweep looks build_h2 up in coupler where a cell builds it
+            module = coupler if name == "build_h2" else sweep
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         spec = SweepSpec(AxisSpec("omega0", 0.0, 5.5, 12), AxisSpec("delta0", 0.2, 1.0, 2),
                          {"total_length": 10.0}, metric=metric, tol=1e-6)
         grid = run_sweep(spec).grid
